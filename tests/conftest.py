@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 
+from torusfill import CoverageResult
+
 
 def box_vectors(radius, dim):
     """All nonzero integer vectors with Euclidean norm <= radius."""
@@ -89,6 +91,87 @@ def torus_distance_oracle(p, q):
     for shift in itertools.product((-1.0, 0.0, 1.0), repeat=p.size):
         best = min(best, float(np.linalg.norm(p - q - np.array(shift))))
     return best
+
+
+def _naive_mark_ball(covered, point, radius):
+    """Mark cells whose center is within radius of point; return new count."""
+    n = point.size
+    cells = covered.shape[0]
+    reach = int(math.ceil(radius * cells)) + 1
+    axes_idx = []
+    axes_dist = []
+    for j in range(n):
+        base = int(math.floor(point[j] * cells - 0.5))
+        if 2 * reach + 1 >= cells:
+            idx = np.arange(cells)
+        else:
+            idx = np.arange(base - reach, base + reach + 1)
+        centers = (idx + 0.5) / cells
+        d = np.abs(point[j] - centers)
+        d = np.minimum(d, 1.0 - d)
+        axes_idx.append(np.mod(idx, cells))
+        axes_dist.append(d)
+    if n == 2:
+        dist_sq = axes_dist[0][:, None] ** 2 + axes_dist[1][None, :] ** 2
+        mask = dist_sq <= radius * radius
+        block = covered[np.ix_(axes_idx[0], axes_idx[1])]
+        fresh = mask & ~block
+        if not np.any(fresh):
+            return 0
+        covered[np.ix_(axes_idx[0], axes_idx[1])] = block | mask
+        return int(np.count_nonzero(fresh))
+    dist_sq = (
+        axes_dist[0][:, None, None] ** 2
+        + axes_dist[1][None, :, None] ** 2
+        + axes_dist[2][None, None, :] ** 2
+    )
+    mask = dist_sq <= radius * radius
+    block = covered[np.ix_(axes_idx[0], axes_idx[1], axes_idx[2])]
+    fresh = mask & ~block
+    if not np.any(fresh):
+        return 0
+    covered[np.ix_(axes_idx[0], axes_idx[1], axes_idx[2])] = block | mask
+    return int(np.count_nonzero(fresh))
+
+
+def _naive_grid(n, delta, dt, grid_side):
+    """Cells per axis, cell side and certificate radius, as the simulator's."""
+    nominal = grid_side if grid_side is not None else delta / (2.0 * math.sqrt(n))
+    cells = int(math.ceil(1.0 / nominal))
+    side = 1.0 / cells
+    return cells, side, delta - side * math.sqrt(n) / 2.0 - dt / 2.0
+
+
+def naive_fill_time(alpha, theta0, delta, dt, max_time, *, grid_side=None):
+    """Dense-window marking of every sample in turn (no input validation)."""
+    a = np.asarray(alpha, dtype=float)
+    n = a.size
+    th = np.mod(np.asarray(theta0, dtype=float), 1.0)
+    cells, side, radius = _naive_grid(n, delta, dt, grid_side)
+    covered = np.zeros((cells,) * n, dtype=bool)
+    total = cells**n
+    seen = 0
+    steps = int(math.floor(max_time / dt))
+    for i in range(steps + 1):
+        t = i * dt
+        pos = np.mod(th + t * a, 1.0)
+        seen += _naive_mark_ball(covered, pos, radius)
+        if seen == total:
+            return CoverageResult(delta, dt, side, t, 0, max_time)
+    return CoverageResult(delta, dt, side, None, total - seen, max_time)
+
+
+def naive_dense(points, delta, *, grid_side=None):
+    """Dense-window static density check; first uncovered center or None."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[1]
+    cells, _, radius = _naive_grid(n, delta, 0.0, grid_side)
+    covered = np.zeros((cells,) * n, dtype=bool)
+    for row in np.mod(pts, 1.0):
+        _naive_mark_ball(covered, row, radius)
+    if bool(covered.all()):
+        return None
+    return (np.argwhere(~covered)[0] + 0.5) / cells
 
 
 @pytest.fixture

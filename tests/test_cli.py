@@ -216,6 +216,19 @@ def test_fill_unfilled_is_mathematical_failure(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--max-time", "inf"), ("--max-time", "nan"), ("--theta0", "nan,0")],
+)
+def test_fill_non_finite_input_is_usage_error(capsys, flags):
+    code, _, err = run(
+        capsys, "fill", "--alpha", "1,1.618", "--normalize",
+        "--delta", "0.2", "--max-time", "5", *flags,
+    )
+    assert code == 2
+    assert "usage error" in err
+
+
 def test_duality_axis_aligned_products(capsys):
     code, out, _ = run(
         capsys, "duality", "--axis", "1,0,0", "--axial", "3",

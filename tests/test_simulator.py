@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import torus_distance_oracle
+from conftest import naive_dense, naive_fill_time, torus_distance_oracle
 from torusfill import (
     empirical_fill_time,
     normalize,
@@ -14,6 +16,7 @@ from torusfill import (
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+CUBIC = [1.0, 2.0 ** (1.0 / 3.0), 4.0 ** (1.0 / 3.0)]
 
 
 def test_torus_distance_known_cases():
@@ -214,3 +217,131 @@ def test_resonant_demo_measurement_single_case():
     )
     assert res.fill_time is not None
     assert abs(res.fill_time - p["expected_time"]) <= p["tolerance"]
+
+
+def _oracle_case(alpha, theta0, radius, dt, max_time, cells):
+    """Simulator and dense oracle on one input; delta yields the radius."""
+    n = len(theta0)
+    delta = radius + math.sqrt(n) / (2.0 * cells) + dt / 2.0
+    args = (normalize(alpha), theta0, delta, dt, max_time)
+    got = empirical_fill_time(*args, grid_side=1.0 / cells)
+    assert got == naive_fill_time(*args, grid_side=1.0 / cells)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    data=st.data(),
+    radius=st.floats(0.001, 0.8),
+    dt=st.sampled_from([0.005, 0.02, 0.1, 0.4]),
+    max_time=st.floats(0.0, 6.0),
+)
+def test_fill_time_matches_dense_oracle(n, data, radius, dt, max_time):
+    direction = data.draw(
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).filter(
+            lambda v: math.hypot(*v) > 0.1
+        )
+    )
+    theta0 = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    cells = data.draw(st.integers(1, 30 if n == 2 else 12))
+    _oracle_case(direction, theta0, radius, dt, max_time, cells)
+
+
+@pytest.mark.parametrize(
+    "alpha, theta0, radius, dt, max_time, cells",
+    [
+        # Orbits crossing 0/1 on every axis, forwards and backwards.
+        ([1.0, 1.3], [0.97, 0.985], 0.06, 0.01, 12.0, 20),
+        ([-1.0, -PHI], [0.02, 0.01], 0.06, 0.01, 12.0, 20),
+        (CUBIC, [0.98, 0.99, 0.97], 0.12, 0.02, 12.0, 10),
+        # Windows reaching around the whole torus (2 * reach + 1 >= cells).
+        ([1.0, PHI], [0.3, 0.6], 0.42, 0.05, 5.0, 4),
+        ([1.0, PHI], [0.0, 0.0], 0.7, 0.05, 5.0, 9),
+        (CUBIC, [0.1, 0.5, 0.9], 0.3, 0.05, 5.0, 4),
+        # Expiry: the uncovered counts must agree.
+        ([1.0, PHI], [0.2, 0.4], 0.05, 0.02, 1.5, 25),
+        (CUBIC, [0.0, 0.0, 0.0], 0.1, 0.02, 2.0, 12),
+    ],
+)
+def test_fill_time_matches_dense_oracle_fixed(
+    alpha, theta0, radius, dt, max_time, cells
+):
+    _oracle_case(alpha, theta0, radius, dt, max_time, cells)
+
+
+def test_fill_time_exact_when_cells_reenter_within_a_block():
+    """q=1 closed orbit on a coarse grid: one marking block spans several
+    periods, so cells leave the ball and re-enter it within the block."""
+    from torusfill.simulator import _SweptCover
+
+    alpha, delta0, period = resonant_reference(1)
+    dt, cells = 0.01, 20
+    radius = delta0 + 2e-4
+    assert _SweptCover(2, cells, radius).block * dt > 2.0 * period
+    res = _oracle_case(alpha, [0.0, 0.0], radius, dt, 3.0 * period, cells)
+    assert res.fill_time is not None and res.fill_time > 0.5 * period
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_resonant_suite_matches_dense_oracle(q):
+    p = resonant_demo_parameters(q)
+    args = (p["alpha"], [0.0, 0.0], p["delta_test"], p["dt"], p["max_time"])
+    got = empirical_fill_time(*args, grid_side=p["grid_side"])
+    assert got == naive_fill_time(*args, grid_side=p["grid_side"])
+
+
+def _same_dense(points, delta, grid_side):
+    got = verify_delta_dense(points, delta, grid_side=grid_side)
+    want = naive_dense(points, delta, grid_side=grid_side)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    cells=st.integers(1, 25),
+    radius=st.floats(0.01, 0.8),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 80),
+)
+def test_verify_dense_matches_dense_oracle(n, cells, radius, seed, count):
+    points = np.random.default_rng(seed).uniform(-1.0, 2.0, size=(count, n))
+    _same_dense(points, radius + math.sqrt(n) / (2.0 * cells), 1.0 / cells)
+
+
+def test_verify_dense_matches_dense_oracle_on_orbits():
+    alpha, delta0, period = resonant_reference(3)
+    ts = np.arange(0.0, period + 0.002, 0.002)
+    orbit = np.mod(ts[:, None] * alpha[None, :], 1.0)
+    for delta in (delta0 + 0.012, delta0 - 0.01):
+        _same_dense(orbit, delta, 0.01)
+    cubic = normalize(CUBIC)
+    orbit3 = np.mod(np.arange(0.0, 30.0, 0.05)[:, None] * cubic[None, :], 1.0)
+    for delta in (0.2, 0.35):
+        _same_dense(orbit3, delta, 0.05)
+
+
+@pytest.mark.parametrize("grid_side", [0.0, -0.5, 1.5, math.nan])
+def test_verify_dense_rejects_bad_grid_side(grid_side):
+    with pytest.raises(ValueError, match="grid side"):
+        verify_delta_dense([[0.5, 0.5]], 0.3, grid_side=grid_side)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verify_dense_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError):
+        verify_delta_dense([[0.5, bad]], 0.3)
+    with pytest.raises(ValueError):
+        verify_delta_dense([[0.5, 0.5]], bad, grid_side=0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["theta0", "delta", "dt", "max_time"])
+def test_fill_time_rejects_non_finite_input(field, bad):
+    args = {"theta0": [0.0, 0.0], "delta": 0.2, "dt": 0.02, "max_time": 5.0}
+    args[field] = [0.0, bad] if field == "theta0" else bad
+    with pytest.raises(ValueError):
+        empirical_fill_time(normalize([1.0, PHI]), grid_side=0.05, **args)
