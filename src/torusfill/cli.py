@@ -294,6 +294,8 @@ def _cmd_fill(ns, config):
         else np.zeros(alpha.size)
     )
     deltas = [float(d) for d in ns.delta.split(",") if d.strip()]
+    if not deltas:
+        raise ValueError("--delta needs at least one value")
     runs = []
     all_filled = True
     for delta in deltas:

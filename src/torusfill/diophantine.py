@@ -96,8 +96,10 @@ class DioParams:
             raise ValueError("tau must satisfy tau >= dim - 1")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
-        if self.cutoff is not None and not (self.cutoff >= 1.0):
-            raise ValueError("cutoff must be >= 1 (or None for no cutoff)")
+        if self.cutoff is not None and not (1.0 <= self.cutoff < math.inf):
+            raise ValueError(
+                "cutoff must be finite and >= 1 (or None for no cutoff)"
+            )
 
 
 @dataclass(frozen=True)
@@ -197,6 +199,8 @@ def check_truncated(alpha, params: DioParams, *, enumeration_cutoff=None):
             "membership without a cutoff is undecidable by enumeration; "
             "supply params.cutoff or enumeration_cutoff"
         )
+    if not math.isfinite(cutoff):
+        raise ValueError("enumeration_cutoff must be finite")
     best = None
     cut_sq = float(cutoff) * float(cutoff)
     for k, inner in _pivot_candidates(a, float(cutoff)):
@@ -232,7 +236,7 @@ def best_gamma(alpha, tau: float, cutoff: float):
     norm and then the lexicographically smallest sign-canonical vector.
     """
     a = require_unit(alpha)
-    if cutoff is None or not (cutoff >= 1.0):
+    if cutoff is None or not (1.0 <= cutoff < math.inf):
         raise ValueError("best_gamma needs a finite cutoff >= 1")
     half = int(math.floor(cutoff))
     cut_sq = float(cutoff) * float(cutoff)
@@ -266,6 +270,8 @@ def resonance_search(alpha, max_order: float, tol: float = 0.0):
     direction itself carries double-precision rounding.
     """
     a = require_unit(alpha)
+    if not math.isfinite(max_order):
+        raise ValueError("max_order must be finite")
     if max_order < 1:
         return []
     half = int(math.floor(max_order))

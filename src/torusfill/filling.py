@@ -12,8 +12,8 @@ times 1 / (gamma delta^tau).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -101,6 +101,9 @@ class AdaptedBasis:
 
         sqrt(3)/2 < multipliers[j] <= n n! N^tau / gamma,
         ||alpha - directions[j]|| <= n n! / (multipliers[j] (N - 1)).
+
+    ``inverse`` is the exact integer inverse of the basis matrix (columns
+    w_j), as rows of Python ints; the basis is unimodular, so it is integral.
     """
 
     alpha: np.ndarray
@@ -109,6 +112,7 @@ class AdaptedBasis:
     directions: np.ndarray  # row j = directions[j]
     integer_basis: IntegerBasis
     minima: MinimaResult
+    inverse: tuple[tuple[int, ...], ...]
 
     def direction_deviation_bound(self, j: int) -> float:
         n = self.params.dim
@@ -210,6 +214,7 @@ def adapted_basis(alpha, params: DioParams, *, budget: int | None = None):
         directions=dirs,
         integer_basis=basis,
         minima=minima,
+        inverse=_exact_inverse(basis),
     )
 
 
@@ -228,14 +233,40 @@ def _adjugate_int(matrix: list[list[int]]) -> list[list[int]]:
     return adj
 
 
+def _exact_inverse(basis: IntegerBasis) -> tuple[tuple[int, ...], ...]:
+    """Integer inverse det * adj of a unimodular basis, checked exactly."""
+    n = len(basis.columns)
+    mat = [[int(basis.columns[c][r]) for c in range(n)] for r in range(n)]
+    det = basis.determinant
+    inv = tuple(tuple(det * v for v in row) for row in _adjugate_int(mat))
+    product = [
+        [sum(mat[r][k] * inv[k][c] for k in range(n)) for c in range(n)]
+        for r in range(n)
+    ]
+    if product != [[int(r == c) for c in range(n)] for r in range(n)]:
+        raise InternalInvariantError(
+            "basis times its integer inverse is not the identity"
+        )
+    return inv
+
+
 def hitting_time(basis: AdaptedBasis, theta, delta: float) -> FillingCertificate:
     """Explicit orbit time whose endpoint lands within delta of theta.
 
-    theta is reduced modulo 1 on entry.  The coefficients are computed with
-    an exact integer inverse of the unimodular basis matrix (no linear-solve
-    tolerance exists), so coords are exact up to the float representation of
-    theta itself.  The endpoint distance is guaranteed below delta whenever
-    the basis cutoff is at least critical_cutoff(n, delta).
+    theta is reduced modulo 1 on entry; coords are t = frac(M^-1 theta) for
+    the basis matrix M, computed exactly.  Every double is an integer over a
+    power of two, so with D the largest denominator among the entries of
+    theta, theta = m / D for an integer vector m.  M^-1 is the integer
+    matrix ``basis.inverse``, so M^-1 theta = (M^-1 m) / D and its
+    fractional parts are ((M^-1 m) mod D) / D, exact integer arithmetic up
+    to the final int / int division, which Python rounds correctly.  No
+    linear-solve tolerance exists and huge inverse entries cannot smear the
+    fractional parts: coords are the doubles nearest the exact rationals.
+
+    The endpoint distance is guaranteed below delta whenever the basis
+    cutoff is at least critical_cutoff(n, delta); in that case a
+    certificate that misses is never returned, InternalInvariantError is
+    raised instead.
     """
     params = basis.params
     n = params.dim
@@ -246,27 +277,26 @@ def hitting_time(basis: AdaptedBasis, theta, delta: float) -> FillingCertificate
         raise ValueError("theta must be an n-vector")
     th = np.mod(th, 1.0)
 
-    cols = basis.integer_basis.matrix()  # columns w_j
-    mat = [[int(cols[r, c]) for c in range(n)] for r in range(n)]
-    adj = _adjugate_int(mat)
-    det = basis.integer_basis.determinant
-    # t = frac(M^-1 theta), computed exactly over the rationals so that huge
-    # adjugate entries cannot smear the fractional parts.
-    coords = []
-    for r in range(n):
-        acc = Fraction(0)
-        for c in range(n):
-            acc += Fraction(adj[r][c], det) * Fraction(th[c])
-        coords.append(float(acc - math.floor(acc)))
-    t = np.array(coords)
-    time = float(t @ basis.multipliers)
+    target = th.tolist()
+    ratios = [v.as_integer_ratio() for v in target]
+    denom = max(d for _, d in ratios)
+    num = [p * (denom // d) for p, d in ratios]
+    coords = tuple(
+        (sum(map(operator.mul, row, num)) % denom) / denom for row in basis.inverse
+    )
+    time = float(np.array(coords) @ basis.multipliers)
     endpoint = np.mod(time * basis.alpha, 1.0)
     diff = np.abs(endpoint - th)
     diff = np.minimum(diff, 1.0 - diff)
     distance = float(np.linalg.norm(diff))
+    if params.cutoff >= critical_cutoff(n, delta) and not (distance < delta):
+        raise InternalInvariantError(
+            f"hitting certificate misses theta by {distance!r} >= delta = "
+            f"{delta!r} although the cutoff is critical"
+        )
     return FillingCertificate(
-        theta=tuple(float(v) for v in th),
-        coords=tuple(float(v) for v in t),
+        theta=tuple(target),
+        coords=coords,
         time=time,
         endpoint_distance=distance,
         bound=filling_time_bound(n, params.tau, params.gamma, delta),

@@ -74,6 +74,15 @@ def _unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
+def _budget(budget: int | None) -> int:
+    """The candidate budget to enforce: the default for None, else >= 1."""
+    if budget is None:
+        return DEFAULT_BUDGET
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    return budget
+
+
 def _as_int_matrix(rows) -> list[list[int]]:
     return [[int(x) for x in row] for row in rows]
 
@@ -452,12 +461,13 @@ def lattice_points_in(body, lam: float, *, budget: int | None = None):
 
     Sorted by (dilation, norm, lexicographic).  Both signs of each point are
     present.  Raises ResourceLimitError if the sweep would examine more than
-    ``budget`` candidates (default 1e8).
+    ``budget`` candidates (default 1e8 for None; a budget below 1 is a
+    ValueError).
     """
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and nonnegative")
     counter = [0]
-    pts = _fp_points(body, lam, budget or DEFAULT_BUDGET, counter)
+    pts = _fp_points(body, lam, _budget(budget), counter)
     return _sorted_points(body, pts)
 
 
@@ -471,7 +481,7 @@ def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
     norm, then lexicographic order of the sign-canonical representative.
     """
     n = body.dim
-    limit = budget or DEFAULT_BUDGET
+    limit = _budget(budget)
     counter = [0]
     lam = 2.0 * body.volume() ** (-1.0 / n)
     for _ in range(64):
@@ -558,6 +568,7 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
     A backtracking pass with the same pruning covers the rare greedy misses.
     """
     n = body.dim
+    limit = _budget(budget)
     wit = [list(w) for w in minima.witnesses]
     if len(wit) == n:
         d = det_exact([[wit[c][r] for c in range(n)] for r in range(n)])
@@ -570,7 +581,6 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
     bound = n * minima.lambdas[-1]
     bound += MEMBERSHIP_SLACK * (1.0 + bound)
     counter = [0]
-    limit = budget or DEFAULT_BUDGET
     pts = _fp_points(body, bound, limit, counter)
     reps = {}
     for row in pts:

@@ -95,6 +95,10 @@ def _grid_setup(n: int, delta: float, dt: float, grid_side: float | None):
         raise ValueError("delta and dt must be finite")
     nominal = grid_side if grid_side is not None else delta / (2.0 * math.sqrt(n))
     if not (0.0 < nominal <= 1.0):
+        if grid_side is None:
+            raise ValueError(
+                "delta must lie in (0, 2 sqrt(n)] when no grid side is given"
+            )
         raise ValueError("grid side must lie in (0, 1]")
     cells = int(math.ceil(1.0 / nominal))
     side = 1.0 / cells

@@ -7,11 +7,12 @@ these on small instances.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from torusfill import CoverageResult
+from torusfill import CoverageResult, FillingCertificate, det_exact, filling_time_bound
 
 
 def box_vectors(radius, dim):
@@ -172,6 +173,65 @@ def naive_dense(points, delta, *, grid_side=None):
     if bool(covered.all()):
         return None
     return (np.argwhere(~covered)[0] + 0.5) / cells
+
+
+def _adjugate_int(matrix):
+    """Exact adjugate of a small integer matrix (cofactor expansion)."""
+    n = len(matrix)
+    adj = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(n):
+            sub = [
+                [matrix[i][j] for j in range(n) if j != c]
+                for i in range(n)
+                if i != r
+            ]
+            adj[c][r] = (-1) ** (r + c) * det_exact(sub)
+    return adj
+
+
+def exact_product(a, b):
+    """Matrix product of two integer matrices in Python ints, as lists."""
+    a = [[int(v) for v in row] for row in a]
+    b = [[int(v) for v in row] for row in b]
+    return [
+        [sum(a[r][k] * b[k][c] for k in range(len(b))) for c in range(len(b[0]))]
+        for r in range(len(a))
+    ]
+
+
+def naive_hitting_time(basis, theta, delta):
+    """Hitting certificate by a fresh adjugate and Fraction sums (no checks)."""
+    params = basis.params
+    n = params.dim
+    th = np.mod(np.asarray(theta, dtype=float), 1.0)
+
+    cols = basis.integer_basis.matrix()  # columns w_j
+    mat = [[int(cols[r, c]) for c in range(n)] for r in range(n)]
+    adj = _adjugate_int(mat)
+    det = basis.integer_basis.determinant
+    # t = frac(M^-1 theta), computed exactly over the rationals so that huge
+    # adjugate entries cannot smear the fractional parts.
+    coords = []
+    for r in range(n):
+        acc = Fraction(0)
+        for c in range(n):
+            acc += Fraction(adj[r][c], det) * Fraction(th[c])
+        coords.append(float(acc - math.floor(acc)))
+    t = np.array(coords)
+    time = float(t @ basis.multipliers)
+    endpoint = np.mod(time * basis.alpha, 1.0)
+    diff = np.abs(endpoint - th)
+    diff = np.minimum(diff, 1.0 - diff)
+    distance = float(np.linalg.norm(diff))
+    return FillingCertificate(
+        theta=tuple(float(v) for v in th),
+        coords=tuple(float(v) for v in t),
+        time=time,
+        endpoint_distance=distance,
+        bound=filling_time_bound(n, params.tau, params.gamma, delta),
+        cutoff=float(params.cutoff),
+    )
 
 
 @pytest.fixture

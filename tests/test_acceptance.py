@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import naive_minima
+from conftest import exact_product, naive_minima
 from torusfill import (
     CylinderBody,
     DiamondBody,
@@ -84,7 +84,8 @@ def test_constructive_pipeline_golden_direction():
 
 @pytest.mark.parametrize("n,tau", [(2, 2.0), (3, 3.0)])
 def test_adapted_basis_invariants_random_directions(n, tau):
-    """Multiplier window, direction deviation and unimodularity; no failures.
+    """Multiplier window, direction deviation, unimodularity and the exact
+    stored inverse; no failures.
 
     Fifty accepted directions per dimension (a hundred bases in total),
     rejection-sampled into the truncated class at gamma = 0.05 with the
@@ -94,6 +95,7 @@ def test_adapted_basis_invariants_random_directions(n, tau):
     params = DioParams(n, tau, 0.05, cutoff)
     rng = np.random.default_rng(100 + n)
     upper = n * math.factorial(n) * cutoff**tau / 0.05
+    identity = [[int(r == c) for c in range(n)] for r in range(n)]
     accepted = 0
     while accepted < 50:
         alpha = rng.standard_normal(n)
@@ -103,6 +105,7 @@ def test_adapted_basis_invariants_random_directions(n, tau):
         accepted += 1
         ab = adapted_basis(alpha, params)
         assert abs(ab.integer_basis.determinant) == 1
+        assert exact_product(ab.integer_basis.matrix(), ab.inverse) == identity
         for j in range(n):
             x = ab.multipliers[j]
             assert math.sqrt(3.0) / 2.0 < x <= upper * (1 + 1e-9)

@@ -229,6 +229,41 @@ def test_fill_non_finite_input_is_usage_error(capsys, flags):
     assert "usage error" in err
 
 
+def test_fill_empty_delta_list_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "fill", "--alpha", "1,1.618", "--normalize",
+        "--delta", ",", "--max-time", "5",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--delta" in err
+
+
+def test_fill_large_delta_names_delta_without_grid_side(capsys):
+    code, _, err = run(
+        capsys, "fill", "--alpha", "1,1.618", "--normalize",
+        "--delta", "5", "--max-time", "1",
+    )
+    assert code == 2
+    assert "delta must lie in (0, 2 sqrt(n)]" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--tau", "1", "--gamma", "0.1", "--N", "1e400"),
+        ("gamma", "--tau", "1", "--N", "inf"),
+        ("basis", "--tau", "1", "--gamma", "0.4", "--N", "nan"),
+        ("resonances", "--max-order", "inf"),
+    ],
+)
+def test_non_finite_cutoff_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, argv[0], "--alpha", GOLDEN, "--normalize", *argv[1:])
+    assert code == 2
+    assert "usage error" in err
+    assert "finite" in err
+
+
 def test_duality_axis_aligned_products(capsys):
     code, out, _ = run(
         capsys, "duality", "--axis", "1,0,0", "--axial", "3",

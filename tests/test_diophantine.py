@@ -56,6 +56,22 @@ def test_params_domain():
         DioParams(dim=2, tau=1.0, gamma=1.0, cutoff=10.0)
     with pytest.raises(ValueError):
         DioParams(dim=2, tau=1.0, gamma=0.3, cutoff=0.5)
+    for cutoff in (math.inf, 1e400, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            DioParams(dim=2, tau=1.0, gamma=0.3, cutoff=cutoff)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_scans_reject_non_finite_cutoffs(value):
+    alpha = golden_direction()
+    with pytest.raises(ValueError, match="finite"):
+        best_gamma(alpha, 1.0, value)
+    with pytest.raises(ValueError, match="finite"):
+        resonance_search(alpha, value)
+    with pytest.raises(ValueError, match="finite"):
+        check_truncated(
+            alpha, DioParams(2, 1.0, 0.1, None), enumeration_cutoff=value
+        )
 
 
 def test_check_accepts_diagonal_direction_at_order_one():

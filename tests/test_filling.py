@@ -1,14 +1,21 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import exact_product, naive_hitting_time
 from torusfill import (
     DioParams,
     DiophantineRejection,
+    InternalInvariantError,
     ResourceLimitError,
     adapted_basis,
     bound_constant,
+    check_truncated,
     critical_cutoff,
     filling_time_bound,
     hitting_time,
@@ -23,6 +30,27 @@ GOLDEN_PARAMS = DioParams(dim=2, tau=1.0, gamma=0.4, cutoff=90.0)
 @pytest.fixture(scope="module")
 def golden_basis():
     return adapted_basis(normalize([1.0, PHI]), GOLDEN_PARAMS)
+
+
+@pytest.fixture(scope="module")
+def oracle_bases(golden_basis):
+    """Bases at the critical cutoff for delta, keyed by name: (basis, delta)."""
+    cubic = normalize([1.0, 2.0 ** (1.0 / 3.0), 4.0 ** (1.0 / 3.0)])
+    cubic_basis = adapted_basis(cubic, DioParams(3, 2.0, 0.05, 275.0))
+    params = DioParams(3, 3.0, 0.05, 275.0)
+    rng = np.random.default_rng(8)
+    while True:
+        alpha = normalize(rng.standard_normal(3))
+        if check_truncated(alpha, params) is None:
+            break
+    return {
+        "golden": (golden_basis, 0.1),
+        "cubic": (cubic_basis, 0.2),
+        "random3": (adapted_basis(alpha, params), 0.2),
+    }
+
+
+EDGE_COORDS = [0.0, -0.0, 1.0 - 2.0**-53, 5e-324, 1e-300]
 
 
 def test_critical_cutoff_values():
@@ -87,6 +115,8 @@ def test_adapted_basis_requires_large_cutoff():
 def test_adapted_basis_budget():
     with pytest.raises(ResourceLimitError):
         adapted_basis(normalize([1.0, PHI]), GOLDEN_PARAMS, budget=2)
+    with pytest.raises(ValueError, match="budget"):
+        adapted_basis(normalize([1.0, PHI]), GOLDEN_PARAMS, budget=0)
 
 
 def test_adapted_basis_golden_invariants(golden_basis):
@@ -207,3 +237,50 @@ def test_hitting_time_validates_input(golden_basis):
         hitting_time(golden_basis, [0.3, 0.7], 0.5)
     with pytest.raises(ValueError):
         hitting_time(golden_basis, [0.3, 0.7, 0.1], 0.1)
+
+
+@pytest.mark.parametrize("name", ["golden", "cubic", "random3"])
+def test_adapted_basis_stores_exact_inverse(oracle_bases, name):
+    ab, _ = oracle_bases[name]
+    n = ab.params.dim
+    identity = [[int(r == c) for c in range(n)] for r in range(n)]
+    assert exact_product(ab.integer_basis.matrix(), ab.inverse) == identity
+    assert all(type(v) is int for row in ab.inverse for v in row)
+
+
+@pytest.mark.parametrize("name", ["golden", "cubic", "random3"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hitting_time_matches_fraction_oracle(oracle_bases, name, data):
+    """Certificates equal the adjugate-and-Fraction path's, bit for bit."""
+    ab, delta = oracle_bases[name]
+    coord = st.one_of(
+        st.floats(min_value=-3.0, max_value=3.0), st.sampled_from(EDGE_COORDS)
+    )
+    n = ab.params.dim
+    theta = data.draw(st.lists(coord, min_size=n, max_size=n))
+    assert hitting_time(ab, theta, delta) == naive_hitting_time(ab, theta, delta)
+
+
+@pytest.mark.parametrize("name", ["golden", "cubic", "random3"])
+def test_hitting_time_matches_fraction_oracle_on_edge_targets(oracle_bases, name):
+    ab, delta = oracle_bases[name]
+    n = ab.params.dim
+    for theta in itertools.product(EDGE_COORDS + [-0.25, 2.75], repeat=n):
+        assert hitting_time(ab, theta, delta) == naive_hitting_time(ab, theta, delta)
+
+
+def test_hitting_time_refuses_a_certificate_that_misses(golden_basis):
+    """At the critical cutoff a miss is a bug, not a certificate.
+
+    Swapping the multipliers leaves the coefficients intact but weights them
+    with the wrong basis vectors, so the orbit time lands far from theta.
+    """
+    doctored = dataclasses.replace(
+        golden_basis, multipliers=golden_basis.multipliers[::-1].copy()
+    )
+    with pytest.raises(InternalInvariantError, match="misses"):
+        hitting_time(doctored, [0.3, 0.7], 0.1)
+    # Below the critical cutoff (180 for delta 0.05) nothing is promised.
+    cert = hitting_time(doctored, [0.3, 0.7], 0.05)
+    assert cert.endpoint_distance >= 0.05

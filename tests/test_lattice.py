@@ -177,6 +177,19 @@ def test_minima_budget_exhaustion():
         successive_minima(body, budget=1)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_rejected(budget):
+    """A budget below 1 is an error, not a request for the default."""
+    body = CylinderBody(np.array([1.0, 0.0]), 3.0, 0.4)
+    assert lattice_points_in(body, 1.0, budget=None).shape[0] > 0
+    with pytest.raises(ValueError, match="budget"):
+        lattice_points_in(body, 1.0, budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        successive_minima(body, budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        extract_zbasis(body, successive_minima(body), budget=budget)
+
+
 def test_polar_swaps_family_and_keeps_extents():
     body = CylinderBody(np.array([0.6, 0.8]), 3.0, 0.4)
     dual = polar_body(body)
