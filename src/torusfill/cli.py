@@ -183,7 +183,7 @@ def _dio_params(ns, *, cutoff_required: bool = True) -> DioParams:
 def _cmd_check(ns, config):
     alpha = _alpha_from(ns)
     params = _dio_params(ns)
-    witness = check_truncated(alpha, params)
+    witness = check_truncated(alpha, params, budget=config.budget)
     p = {
         "alpha": alpha,
         "tau": ns.tau,

@@ -6,10 +6,22 @@ Diophantine condition with exponent ``tau``, constant ``gamma`` and cutoff
 
     |k . alpha| >= gamma * ||k||^(-tau)   for all integer k, 0 < ||k|| <= N.
 
-This module decides that condition exactly at desk scale, computes the
-largest admissible ``gamma`` for a given direction, locates resonances
-(integer vectors orthogonal to the direction), and estimates the spherical
-measure of the complement of the condition by Monte Carlo sampling.
+Membership is decided exactly by the geometry of numbers.  A violating k
+with ||k|| in (r/2, r] has |k . alpha| < gamma * max(r/2, 1)^(-tau) and a
+part orthogonal to alpha of length at most r, so it is a nonzero integer
+point of the thin cylinder around alpha with those half-extents.
+``check_truncated`` enumerates these cylinders with the lattice
+enumerator for the dyadic shells r = N, N/2, ... (down to r < 2, whose
+shell holds every norm in (0, r]), smallest first, and tests each point
+found with the slack comparison below; the first shell holding a violation
+holds the smallest-norm one.  The reported ``inner`` is always computed as
+k_p * alpha_p + (k without p) . (alpha without p), with p the index of the
+largest |alpha_i|, so that its last bits do not depend on the enumeration.
+
+The module also computes the largest admissible ``gamma`` for a given
+direction, locates resonances (integer vectors orthogonal to the
+direction), and estimates the spherical measure of the complement of the
+condition by Monte Carlo sampling.
 """
 
 from __future__ import annotations
@@ -18,6 +30,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .lattice import (
+    UNIT_NORM_TOL,
+    CylinderBody,
+    _budget,
+    _canonical,
+    _fp_points,
+    require_unit,
+)
 
 __all__ = [
     "UNIT_NORM_TOL",
@@ -32,10 +53,6 @@ __all__ = [
     "resonance_search",
     "complement_measure_estimate",
 ]
-
-# Directions must be unit vectors to this absolute tolerance; nothing is
-# renormalized silently.
-UNIT_NORM_TOL = 1e-9
 
 # One-sided comparison slack: k counts as a violation only when
 # |k.alpha| < gamma * ||k||^(-tau) - CMP_SLACK_PER_NORM * ||k||.
@@ -58,20 +75,6 @@ def normalize(vec) -> np.ndarray:
     if norm == 0.0 or not np.isfinite(norm):
         raise ValueError("cannot normalize a zero or non-finite vector")
     return v / norm
-
-
-def require_unit(alpha) -> np.ndarray:
-    """Validate that alpha is a unit vector; no silent renormalization."""
-    a = np.asarray(alpha, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("direction must be a 1-d vector of dimension >= 2")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("direction has non-finite entries")
-    if abs(float(np.linalg.norm(a)) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(
-            "direction is not a unit vector (use normalize() explicitly)"
-        )
-    return a
 
 
 @dataclass(frozen=True)
@@ -120,14 +123,6 @@ class ResonanceReport:
     residual: float
 
 
-def _canonical(k: np.ndarray) -> tuple[int, ...]:
-    """Sign convention for reported vectors: first nonzero entry positive."""
-    for x in k:
-        if x != 0:
-            return tuple(int(v) for v in (k if x > 0 else -k))
-    return tuple(int(v) for v in k)
-
-
 def _iter_box_chunks(half: int, dim: int, chunk: int = _ENUM_CHUNK):
     """Yield int64 arrays covering the box [-half, half]^dim (includes 0)."""
     side = 2 * half + 1
@@ -146,49 +141,26 @@ def _iter_box_chunks(half: int, dim: int, chunk: int = _ENUM_CHUNK):
         start = stop
 
 
-def _pivot_candidates(alpha: np.ndarray, cutoff: float):
-    """Yield (k_vectors, inner_products) covering every possible violation.
-
-    Splits k into a pivot coordinate (the largest |alpha_i|) and the rest.
-    For fixed rest coordinates every violating pivot value lies in a short
-    interval around -(rest . alpha_rest) / alpha_pivot, because the violation
-    threshold is at most gamma <= 1 and |alpha_pivot| >= 1/sqrt(n).  This is
-    an exact reformulation of the box scan that stays affordable when
-    (2N+1)^n is out of reach.
-    """
-    n = alpha.size
-    half = int(math.floor(cutoff))
-    pivot = int(np.argmax(np.abs(alpha)))
-    rest_axes = [j for j in range(n) if j != pivot]
-    a_p = float(alpha[pivot])
-    a_rest = alpha[rest_axes]
-    # Violations satisfy |k . alpha| < gamma <= 1, so the pivot coordinate is
-    # within (1 + |a_p|)/|a_p| of the exact solution; pad by one for rounding.
-    spread = int(math.ceil(1.0 / abs(a_p))) + 1
-    offsets = np.arange(-spread, spread + 1, dtype=np.int64)
-
-    for rest in _iter_box_chunks(half, n - 1):
-        c = rest @ a_rest
-        center = np.rint(-c / a_p).astype(np.int64)
-        kp = center[:, None] + offsets[None, :]
-        inner = kp * a_p + c[:, None]
-        keep = np.abs(kp) <= half
-        if not np.any(keep):
-            continue
-        rows, cols = np.nonzero(keep)
-        k = np.empty((rows.size, n), dtype=np.int64)
-        k[:, rest_axes] = rest[rows]
-        k[:, pivot] = kp[rows, cols]
-        yield k, inner[rows, cols]
-
-
-def check_truncated(alpha, params: DioParams, *, enumeration_cutoff=None):
+def check_truncated(
+    alpha, params: DioParams, *, enumeration_cutoff=None, budget=None
+):
     """Decide membership in the truncated Diophantine set.
 
     Returns None when every integer k with 0 < ||k|| <= cutoff respects
     |k . alpha| >= gamma ||k||^(-tau) (up to the one-sided comparison slack),
     otherwise the smallest-norm violating k (ties broken lexicographically
     after fixing the sign so the first nonzero entry is positive).
+
+    The scan visits the dyadic shells r = N, N/2, ... down to r < 2,
+    smallest first; each keeps the norms in (r/2, r], and the last one all of
+    (0, r].  A violation in a shell lies in
+    ``CylinderBody(alpha, gamma * max(r/2, 1)^(-tau), r)``, whose integer
+    points are enumerated exactly, so the first shell with a violation
+    holds the smallest-norm one.  ``inner`` is computed as
+    k_p alpha_p + (rest of k) . (rest of alpha), with p the index of the
+    largest |alpha_i|.  All shells count candidates against one ``budget``
+    (the default 1e8 for None); exceeding it raises ResourceLimitError and
+    a budget below 1 is a ValueError.
     """
     a = require_unit(alpha)
     if a.size != params.dim:
@@ -201,30 +173,44 @@ def check_truncated(alpha, params: DioParams, *, enumeration_cutoff=None):
         )
     if not math.isfinite(cutoff):
         raise ValueError("enumeration_cutoff must be finite")
-    best = None
-    cut_sq = float(cutoff) * float(cutoff)
-    for k, inner in _pivot_candidates(a, float(cutoff)):
+    limit = _budget(budget)
+    if cutoff < 1:
+        return None  # no nonzero integer vector is that short
+    radii = [float(cutoff)]
+    while radii[-1] / 2.0 >= 1.0:
+        radii.append(radii[-1] / 2.0)
+    radii.reverse()
+    pivot = int(np.argmax(np.abs(a)))
+    rest_axes = [j for j in range(a.size) if j != pivot]
+    a_p = float(a[pivot])
+    a_rest = a[rest_axes]
+    counter = [0]
+    for lower_sq, r in zip([0.0] + [r * r for r in radii[:-1]], radii):
+        shortest = max(r / 2.0, 1.0)
+        axial = params.gamma * shortest ** (-params.tau)
+        # A violation needs gamma ||k||^(-tau) > slack ||k|| >= slack
+        # shortest, so below that the shell cannot hold one.
+        if axial * (1.0 + 1e-9) <= CMP_SLACK_PER_NORM * shortest:
+            continue
+        k = _fp_points(CylinderBody(a, axial, r), 1.0, limit, counter)
         norm_sq = np.sum(k * k, axis=1).astype(float)
-        valid = (norm_sq > 0) & (norm_sq <= cut_sq)
-        if not np.any(valid):
+        keep = (norm_sq > lower_sq) & (norm_sq <= r * r)
+        if not np.any(keep):
             continue
-        norm = np.sqrt(norm_sq[valid])
+        k, norm_sq = k[keep], norm_sq[keep]
+        norm = np.sqrt(norm_sq)
         thr = params.gamma * norm ** (-params.tau)
-        viol = np.abs(inner[valid]) < thr - CMP_SLACK_PER_NORM * norm
-        if not np.any(viol):
+        inner = k[:, pivot] * a_p + k[:, rest_axes] @ a_rest
+        viol = np.nonzero(np.abs(inner) < thr - CMP_SLACK_PER_NORM * norm)[0]
+        if viol.size == 0:
             continue
-        kv = k[valid][viol]
-        nv = norm_sq[valid][viol]
-        iv = inner[valid][viol]
-        tv = thr[viol]
-        for i in range(kv.shape[0]):
-            key = (nv[i], _canonical(kv[i]))
-            if best is None or key < best[0]:
-                best = (key, float(iv[i]), float(tv[i]))
-    if best is None:
-        return None
-    (_, k_canon), inner, thr = best
-    return ViolationWitness(k=k_canon, inner=abs(inner), threshold=thr)
+        # Both signs of each point are present, with the same |inner|.
+        viol = viol[norm_sq[viol] == norm_sq[viol].min()]
+        k_canon, i = min((_canonical(k[j]), j) for j in viol)
+        return ViolationWitness(
+            k=k_canon, inner=abs(float(inner[i])), threshold=float(thr[i])
+        )
+    return None
 
 
 def best_gamma(alpha, tau: float, cutoff: float):

@@ -162,7 +162,7 @@ def adapted_basis(alpha, params: DioParams, *, budget: int | None = None):
         raise ValueError(
             f"cutoff must exceed 1 + n^2 n! = {scale} for this construction"
         )
-    witness = check_truncated(a, params)
+    witness = check_truncated(a, params, budget=budget)
     if witness is not None:
         raise DiophantineRejection(witness)
 

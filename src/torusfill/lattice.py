@@ -23,14 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .diophantine import require_unit
-
 __all__ = [
+    "UNIT_NORM_TOL",
     "DEFAULT_BUDGET",
     "MEMBERSHIP_SLACK",
     "ENTRY_LIMIT",
@@ -48,7 +46,12 @@ __all__ = [
     "duality_check",
     "extract_zbasis",
     "det_exact",
+    "require_unit",
 ]
+
+# Directions must be unit vectors to this absolute tolerance; nothing is
+# renormalized silently.
+UNIT_NORM_TOL = 1e-9
 
 # Budget on enumeration candidates examined before giving up.
 DEFAULT_BUDGET = 10**8
@@ -68,6 +71,20 @@ class ResourceLimitError(RuntimeError):
 class InternalInvariantError(RuntimeError):
     """A mathematically guaranteed property failed; indicates a bug or
     tolerance mismatch, not bad user input."""
+
+
+def require_unit(alpha) -> np.ndarray:
+    """Validate that alpha is a unit vector; no silent renormalization."""
+    a = np.asarray(alpha, dtype=float)
+    if a.ndim != 1 or a.size < 2:
+        raise ValueError("direction must be a 1-d vector of dimension >= 2")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("direction has non-finite entries")
+    if abs(float(np.linalg.norm(a)) - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(
+            "direction is not a unit vector (use normalize() explicitly)"
+        )
+    return a
 
 
 def _unit_ball_volume(d: int) -> float:
@@ -160,6 +177,7 @@ def _minors_gcd(vectors) -> int:
 
 
 def _canonical(k) -> tuple[int, ...]:
+    """Sign convention for reported vectors: first nonzero entry positive."""
     for x in k:
         if x != 0:
             return tuple(int(v) for v in (k if x > 0 else [-y for y in k]))
@@ -446,14 +464,12 @@ def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
     return pts
 
 
-def _sorted_points(body, pts: np.ndarray) -> np.ndarray:
-    if pts.shape[0] == 0:
-        return pts
+def _ordered(body, pts: np.ndarray):
+    """The (dilation, norm, lexicographic) order of pts, and their gauges."""
     g = np.atleast_1d(body.gauge(pts.astype(float)))
     norm_sq = np.sum(pts * pts, axis=1)
     keys = tuple(pts[:, j] for j in range(pts.shape[1] - 1, -1, -1))
-    order = np.lexsort(keys + (norm_sq, g))
-    return pts[order]
+    return np.lexsort(keys + (norm_sq, g)), g
 
 
 def lattice_points_in(body, lam: float, *, budget: int | None = None):
@@ -466,9 +482,8 @@ def lattice_points_in(body, lam: float, *, budget: int | None = None):
     """
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and nonnegative")
-    counter = [0]
-    pts = _fp_points(body, lam, _budget(budget), counter)
-    return _sorted_points(body, pts)
+    pts = _fp_points(body, lam, _budget(budget), [0])
+    return pts[_ordered(body, pts)[0]]
 
 
 def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
@@ -493,10 +508,7 @@ def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
                 if canon not in reps:
                     reps[canon] = True
             cand = np.array(list(reps.keys()), dtype=np.int64)
-            g = np.atleast_1d(body.gauge(cand.astype(float)))
-            norm_sq = np.sum(cand * cand, axis=1)
-            keys = tuple(cand[:, j] for j in range(cand.shape[1] - 1, -1, -1))
-            order = np.lexsort(keys + (norm_sq, g))
+            order, g = _ordered(body, cand)
             chosen: list[tuple[int, ...]] = []
             lambdas: list[float] = []
             for idx in order:
@@ -595,11 +607,7 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
     cand = np.array(list(reps.keys()), dtype=np.int64)
     if cand.shape[0] < n:
         raise InternalInvariantError("too few candidates for basis extraction")
-    g = np.atleast_1d(body.gauge(cand.astype(float)))
-    norm_sq = np.sum(cand * cand, axis=1)
-    keys = tuple(cand[:, j] for j in range(cand.shape[1] - 1, -1, -1))
-    order = np.lexsort(keys + (norm_sq, g))
-    ordered = [tuple(int(x) for x in cand[i]) for i in order]
+    ordered = [tuple(int(x) for x in cand[i]) for i in _ordered(body, cand)[0]]
 
     def finish(cols):
         mat = [[cols[c][r] for c in range(n)] for r in range(n)]

@@ -12,7 +12,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusfill import CoverageResult, FillingCertificate, det_exact, filling_time_bound
+from torusfill import (
+    CoverageResult,
+    FillingCertificate,
+    ViolationWitness,
+    det_exact,
+    filling_time_bound,
+    require_unit,
+)
+from torusfill.diophantine import CMP_SLACK_PER_NORM
 
 
 def box_vectors(radius, dim):
@@ -82,6 +90,100 @@ def naive_violation(alpha, tau, gamma, cutoff):
             if best is None or key < best[0]:
                 best = (key, k)
     return None if best is None else best[1]
+
+
+def _iter_box_chunks(half, dim, chunk=65536):
+    """Yield int64 arrays covering the box [-half, half]^dim (includes 0)."""
+    side = 2 * half + 1
+    total = side**dim
+    powers = [side**j for j in range(dim - 1, -1, -1)]
+    start = 0
+    while start < total:
+        stop = min(start + chunk, total)
+        flat = np.arange(start, stop, dtype=np.int64)
+        coords = np.empty((stop - start, dim), dtype=np.int64)
+        rem = flat
+        for j, p in enumerate(powers):
+            coords[:, j], rem = np.divmod(rem, p)
+        coords -= half
+        yield coords
+        start = stop
+
+
+def _pivot_candidates(alpha, cutoff):
+    """Yield (k_vectors, inner_products) covering every possible violation.
+
+    Splits k into a pivot coordinate (the largest |alpha_i|) and the rest.
+    For fixed rest coordinates every violating pivot value lies in a short
+    interval around -(rest . alpha_rest) / alpha_pivot, because the violation
+    threshold is at most gamma <= 1 and |alpha_pivot| >= 1/sqrt(n).
+    """
+    n = alpha.size
+    half = int(math.floor(cutoff))
+    pivot = int(np.argmax(np.abs(alpha)))
+    rest_axes = [j for j in range(n) if j != pivot]
+    a_p = float(alpha[pivot])
+    a_rest = alpha[rest_axes]
+    # Violations satisfy |k . alpha| < gamma <= 1, so the pivot coordinate is
+    # within (1 + |a_p|)/|a_p| of the exact solution; pad by one for rounding.
+    spread = int(math.ceil(1.0 / abs(a_p))) + 1
+    offsets = np.arange(-spread, spread + 1, dtype=np.int64)
+
+    for rest in _iter_box_chunks(half, n - 1):
+        c = rest @ a_rest
+        center = np.rint(-c / a_p).astype(np.int64)
+        kp = center[:, None] + offsets[None, :]
+        inner = kp * a_p + c[:, None]
+        keep = np.abs(kp) <= half
+        if not np.any(keep):
+            continue
+        rows, cols = np.nonzero(keep)
+        k = np.empty((rows.size, n), dtype=np.int64)
+        k[:, rest_axes] = rest[rows]
+        k[:, pivot] = kp[rows, cols]
+        yield k, inner[rows, cols]
+
+
+def _canonical(k):
+    for x in k:
+        if x != 0:
+            return tuple(int(v) for v in (k if x > 0 else -k))
+    return tuple(int(v) for v in k)
+
+
+def naive_check_truncated(alpha, params, *, enumeration_cutoff=None):
+    """Membership by the pivot-column box scan over (2N+1)^(n-1) columns.
+
+    The witness (k, inner, threshold) is the one the library must return
+    bit for bit: smallest norm, then the lexicographically smallest
+    sign-canonical vector, with inner from the same pivot expression.
+    """
+    a = require_unit(alpha)
+    cutoff = params.cutoff if params.cutoff is not None else enumeration_cutoff
+    best = None
+    cut_sq = float(cutoff) * float(cutoff)
+    for k, inner in _pivot_candidates(a, float(cutoff)):
+        norm_sq = np.sum(k * k, axis=1).astype(float)
+        valid = (norm_sq > 0) & (norm_sq <= cut_sq)
+        if not np.any(valid):
+            continue
+        norm = np.sqrt(norm_sq[valid])
+        thr = params.gamma * norm ** (-params.tau)
+        viol = np.abs(inner[valid]) < thr - CMP_SLACK_PER_NORM * norm
+        if not np.any(viol):
+            continue
+        kv = k[valid][viol]
+        nv = norm_sq[valid][viol]
+        iv = inner[valid][viol]
+        tv = thr[viol]
+        for i in range(kv.shape[0]):
+            key = (nv[i], _canonical(kv[i]))
+            if best is None or key < best[0]:
+                best = (key, float(iv[i]), float(tv[i]))
+    if best is None:
+        return None
+    (_, k_canon), inner, thr = best
+    return ViolationWitness(k=k_canon, inner=abs(inner), threshold=thr)
 
 
 def torus_distance_oracle(p, q):

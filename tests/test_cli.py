@@ -145,6 +145,17 @@ def test_budget_exceeded_exit_code(capsys):
     assert "budget" in err
 
 
+def test_check_honours_budget(capsys):
+    argv = ["check", "--alpha", GOLDEN, "--normalize", "--tau", "1",
+            "--gamma", "0.4", "--N", "90"]
+    code, _, err = run(capsys, *argv, "--budget", "1")
+    assert code == 3
+    assert "budget" in err
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "pass" in out
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("TORUSFILL_BUDGET", "2")
     code, _, _ = run(

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_violation
+from conftest import naive_check_truncated, naive_violation
 from torusfill import (
+    CylinderBody,
     DioParams,
+    ResourceLimitError,
     best_gamma,
     check_truncated,
     complement_measure_estimate,
+    lattice_points_in,
     normalize,
     require_unit,
     resonance_search,
@@ -124,6 +129,114 @@ def test_check_matches_naive_scan(rng):
             assert got is not None
             canon = want if want[np.nonzero(want)[0][0]] > 0 else -want
             assert got.k == tuple(int(x) for x in canon)
+
+
+# Directions with exact resonances and many equal-norm ties among them.
+RESONANT = [
+    (1, 1), (2, 1), (3, 4), (1, 1, 1), (1, 2, 3), (1, 2, 2), (0, 1, 1),
+    (1, 1, 1, 1), (1, 2, 2, 4), (1, 0, 0, 1),
+]
+# Largest cutoff drawn per dimension, to keep the box-scan oracle cheap.
+ORACLE_CUTOFF = {2: 1000.0, 3: 100.0, 4: 20.0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_matches_pivot_scan_oracle(data):
+    """Witnesses equal the box scan's bit for bit: k, inner and threshold."""
+    if data.draw(st.booleans(), label="resonant"):
+        vec = np.array(data.draw(st.sampled_from(RESONANT)), dtype=float)
+        signs = data.draw(
+            st.lists(st.sampled_from([-1.0, 1.0]), min_size=vec.size,
+                     max_size=vec.size)
+        )
+        alpha = normalize(vec * np.array(signs))
+    else:
+        n = data.draw(st.integers(2, 4), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        alpha = normalize(np.random.default_rng(seed).standard_normal(n))
+    n = alpha.size
+    tau = data.draw(st.floats(n - 1.0, n + 2.0), label="tau")
+    gamma = data.draw(st.floats(1e-4, 0.9), label="gamma")
+    # Cutoffs below 2 scan a single shell.
+    cutoff = data.draw(
+        st.one_of(st.floats(1.0, 1.99), st.floats(1.0, ORACLE_CUTOFF[n])),
+        label="cutoff",
+    )
+    params = DioParams(n, tau, gamma, cutoff)
+    assert check_truncated(alpha, params) == naive_check_truncated(alpha, params)
+
+
+@pytest.mark.parametrize(
+    "n,tau,gamma,cutoff,count",
+    [(3, 2.0, 0.02, 275.0, 12), (4, 3.0, 0.002, 60.0, 2), (2, 1.0, 0.4, 500.0, 12)],
+)
+def test_check_matches_pivot_scan_oracle_at_scale(n, tau, gamma, cutoff, count):
+    """Benchmark-scale cutoffs, where inner products carry the most rounding."""
+    rng = np.random.default_rng(1000 + n)
+    dirs = [normalize(rng.standard_normal(n)) for _ in range(count)]
+    dirs.append(normalize(np.ones(n)))
+    params = DioParams(n, tau, gamma, cutoff)
+    for alpha in dirs:
+        assert check_truncated(alpha, params) == naive_check_truncated(alpha, params)
+
+
+@pytest.mark.parametrize("tau", [30.0, 200.0])
+def test_check_with_thresholds_below_the_slack(tau):
+    """Shells whose threshold is below the slack (or underflows) hold none."""
+    alpha = golden_direction()
+    params = DioParams(2, tau, 0.01, 1e4)
+    assert check_truncated(alpha, params) is None
+    assert naive_check_truncated(alpha, params) is None
+
+
+def test_check_budget():
+    alpha = golden_direction()
+    params = DioParams(2, 1.0, 0.4, 90.0)
+    with pytest.raises(ResourceLimitError):
+        check_truncated(alpha, params, budget=1)
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget"):
+            check_truncated(alpha, params, budget=budget)
+    assert check_truncated(alpha, params, budget=None) is None
+
+
+def _least_budget(call):
+    """Smallest budget under which call(budget) does not run out."""
+    lo, hi = 1, 1
+    while True:
+        try:
+            call(hi)
+            break
+        except ResourceLimitError:
+            lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            call(mid)
+            hi = mid
+        except ResourceLimitError:
+            lo = mid + 1
+    return lo
+
+
+def test_check_budget_counts_all_shells_together():
+    """One counter spans the shells r = 90, 45, ..., 1.40625."""
+    alpha = golden_direction()
+    params = DioParams(2, 1.0, 0.4, 90.0)
+    total = _least_budget(lambda b: check_truncated(alpha, params, budget=b))
+    shells = [90.0 / 2**j for j in range(7)]
+    per_shell = [
+        _least_budget(
+            lambda b, r=r: lattice_points_in(
+                CylinderBody(alpha, 0.4 * max(r / 2.0, 1.0) ** -1.0, r),
+                1.0,
+                budget=b,
+            )
+        )
+        for r in shells
+    ]
+    assert total == sum(per_shell)
 
 
 def test_best_gamma_matches_exhaustive_scan():

@@ -119,6 +119,16 @@ def test_adapted_basis_budget():
         adapted_basis(normalize([1.0, PHI]), GOLDEN_PARAMS, budget=0)
 
 
+def test_adapted_basis_budget_reaches_membership():
+    """The membership scan counts against the caller's budget as well."""
+    alpha = normalize([2.0, 1.0])
+    params = DioParams(2, 1.0, 0.1, 90.0)
+    with pytest.raises(ResourceLimitError):
+        adapted_basis(alpha, params, budget=1)
+    with pytest.raises(DiophantineRejection):
+        adapted_basis(alpha, params, budget=10**6)
+
+
 def test_adapted_basis_golden_invariants(golden_basis):
     """Multiplier bounds, direction deviation, unimodularity."""
     ab = golden_basis
