@@ -206,14 +206,16 @@ def _cmd_check(ns, config):
 
 def _cmd_gamma(ns, config):
     alpha = _alpha_from(ns)
-    value, argmin = best_gamma(alpha, ns.tau, ns.N)
+    value, argmin = best_gamma(alpha, ns.tau, ns.N, budget=config.budget)
     p = {"alpha": alpha, "tau": ns.tau, "N": ns.N}
     return p, {"gamma_max": value, "argmin_k": list(argmin)}, 0
 
 
 def _cmd_resonances(ns, config):
     alpha = _alpha_from(ns)
-    reports = resonance_search(alpha, ns.max_order, ns.tol)
+    reports = resonance_search(
+        alpha, ns.max_order, ns.tol, budget=config.budget
+    )
     p = {"alpha": alpha, "max_order": ns.max_order, "tol": ns.tol}
     return (
         p,
@@ -354,7 +356,9 @@ def _cmd_duality(ns, config):
 
 def _cmd_measure(ns, config):
     params = DioParams(dim=ns.n, tau=ns.tau, gamma=ns.gamma, cutoff=ns.N)
-    fraction, stderr = complement_measure_estimate(params, ns.samples, config.seed)
+    fraction, stderr = complement_measure_estimate(
+        params, ns.samples, config.seed, budget=config.budget
+    )
     p = {
         "n": ns.n,
         "tau": ns.tau,

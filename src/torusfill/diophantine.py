@@ -6,22 +6,14 @@ Diophantine condition with exponent ``tau``, constant ``gamma`` and cutoff
 
     |k . alpha| >= gamma * ||k||^(-tau)   for all integer k, 0 < ||k|| <= N.
 
-Membership is decided exactly by the geometry of numbers.  A violating k
-with ||k|| in (r/2, r] has |k . alpha| < gamma * max(r/2, 1)^(-tau) and a
-part orthogonal to alpha of length at most r, so it is a nonzero integer
-point of the thin cylinder around alpha with those half-extents.
-``check_truncated`` enumerates these cylinders with the lattice
-enumerator for the dyadic shells r = N, N/2, ... (down to r < 2, whose
-shell holds every norm in (0, r]), smallest first, and tests each point
-found with the slack comparison below; the first shell holding a violation
-holds the smallest-norm one.  The reported ``inner`` is always computed as
-k_p * alpha_p + (k without p) . (alpha without p), with p the index of the
-largest |alpha_i|, so that its last bits do not depend on the enumeration.
-
-The module also computes the largest admissible ``gamma`` for a given
-direction, locates resonances (integer vectors orthogonal to the
-direction), and estimates the spherical measure of the complement of the
-condition by Monte Carlo sampling.
+Every scan here is geometry of numbers: the integer k that matter (a
+violation, a minimiser of |k . alpha| ||k||^tau, a resonance) lie in a thin
+cylinder around alpha, whose integer points the lattice enumerator lists
+exactly.  ``check_truncated`` and ``best_gamma`` visit the dyadic shells
+r = N, N/2, ... smallest first, with axial half-extent gamma (or the
+running minimum) times max(r/2, 1)^(-tau); ``resonance_search`` uses one
+cylinder.  The Monte Carlo estimate of the measure of the complement scans
+a box of integer vectors.  Every scan counts against one candidate budget.
 """
 
 from __future__ import annotations
@@ -34,6 +26,7 @@ import numpy as np
 from .lattice import (
     UNIT_NORM_TOL,
     CylinderBody,
+    ResourceLimitError,
     _budget,
     _canonical,
     _fp_points,
@@ -62,8 +55,6 @@ CMP_SLACK_PER_NORM = 1e-12
 # asks for tolerance 0: directions are given at double precision, so a true
 # resonance shows up as |k.alpha| of order ||k|| * 2^-53.
 _RESONANCE_EPS_PER_NORM = 1e-14
-
-_ENUM_CHUNK = 65536
 
 
 def normalize(vec) -> np.ndarray:
@@ -123,22 +114,32 @@ class ResonanceReport:
     residual: float
 
 
-def _iter_box_chunks(half: int, dim: int, chunk: int = _ENUM_CHUNK):
-    """Yield int64 arrays covering the box [-half, half]^dim (includes 0)."""
-    side = 2 * half + 1
-    total = side**dim
-    powers = [side**j for j in range(dim - 1, -1, -1)]
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        coords = np.empty((stop - start, dim), dtype=np.int64)
-        rem = flat
-        for j, p in enumerate(powers):
-            coords[:, j], rem = np.divmod(rem, p)
-        coords -= half
-        yield coords
-        start = stop
+def _shells(cutoff: float):
+    """(lower_sq, r) of the shells r = N, N/2, ... (r >= 1), smallest first."""
+    radii = [float(cutoff)]
+    while radii[-1] / 2.0 >= 1.0:
+        radii.append(radii[-1] / 2.0)
+    radii.reverse()
+    return list(zip([0.0] + [r * r for r in radii[:-1]], radii))
+
+
+def _shell_points(a, axial, lower_sq, r, limit, counter):
+    """(k, norm_sq) of the cylinder's points with norm_sq in (lower_sq, r^2]."""
+    k = _fp_points(CylinderBody(a, axial, r), 1.0, limit, counter)
+    norm_sq = np.sum(k * k, axis=1).astype(float)
+    keep = (norm_sq > lower_sq) & (norm_sq <= r * r)
+    return k[keep], norm_sq[keep]
+
+
+def _axial_extent(bound: float, n: int, r: float) -> float:
+    """Half-extent holding every k, ||k|| <= r, whose float |k.alpha| <= bound.
+
+    The relative pad 1e-12 covers the few ulps by which ``bound`` is itself
+    rounded.  A float k . alpha errs by at most n u ||k|| (1 + 1e-9) /
+    (1 - n u), u = 2^-53, for alpha unit to 1e-9; the absolute pad 4 n u r
+    covers the two such sums, the scan's and the body gauge's.
+    """
+    return bound * (1.0 + 1e-12) + 4.0 * n * r * 2.0**-53
 
 
 def check_truncated(
@@ -176,28 +177,19 @@ def check_truncated(
     limit = _budget(budget)
     if cutoff < 1:
         return None  # no nonzero integer vector is that short
-    radii = [float(cutoff)]
-    while radii[-1] / 2.0 >= 1.0:
-        radii.append(radii[-1] / 2.0)
-    radii.reverse()
     pivot = int(np.argmax(np.abs(a)))
     rest_axes = [j for j in range(a.size) if j != pivot]
     a_p = float(a[pivot])
     a_rest = a[rest_axes]
     counter = [0]
-    for lower_sq, r in zip([0.0] + [r * r for r in radii[:-1]], radii):
+    for lower_sq, r in _shells(cutoff):
         shortest = max(r / 2.0, 1.0)
         axial = params.gamma * shortest ** (-params.tau)
         # A violation needs gamma ||k||^(-tau) > slack ||k|| >= slack
         # shortest, so below that the shell cannot hold one.
         if axial * (1.0 + 1e-9) <= CMP_SLACK_PER_NORM * shortest:
             continue
-        k = _fp_points(CylinderBody(a, axial, r), 1.0, limit, counter)
-        norm_sq = np.sum(k * k, axis=1).astype(float)
-        keep = (norm_sq > lower_sq) & (norm_sq <= r * r)
-        if not np.any(keep):
-            continue
-        k, norm_sq = k[keep], norm_sq[keep]
+        k, norm_sq = _shell_points(a, axial, lower_sq, r, limit, counter)
         norm = np.sqrt(norm_sq)
         thr = params.gamma * norm ** (-params.tau)
         inner = k[:, pivot] * a_p + k[:, rest_axes] @ a_rest
@@ -213,74 +205,73 @@ def check_truncated(
     return None
 
 
-def best_gamma(alpha, tau: float, cutoff: float):
+def best_gamma(alpha, tau: float, cutoff: float, *, budget=None):
     """Largest gamma for which alpha passes the truncated condition.
 
     Returns (gamma_max, argmin_k) with gamma_max = min |k.alpha| * ||k||^tau
     over 0 < ||k|| <= cutoff.  A resonant direction yields gamma_max == 0
     with the resonance as argmin.  Ties on the minimum take the smallest
     norm and then the lexicographically smallest sign-canonical vector.
+    The shells of ``check_truncated`` are scanned smallest first, starting
+    from g = min |alpha_i| (a unit vector).  A k in (r/2, r] with product
+    <= g has |k.alpha| <= g max(r/2, 1)^(-tau), so it lies in that padded
+    cylinder.  ``tau`` must be finite and >= 0; all shells count against
+    one ``budget`` (1e8 if None).
     """
     a = require_unit(alpha)
     if cutoff is None or not (1.0 <= cutoff < math.inf):
         raise ValueError("best_gamma needs a finite cutoff >= 1")
-    half = int(math.floor(cutoff))
-    cut_sq = float(cutoff) * float(cutoff)
+    if not (0.0 <= tau < math.inf):
+        raise ValueError("tau must be finite and >= 0")
+    limit = _budget(budget)
+    counter = [0]
+    g = float(np.min(np.abs(a)))  # the product at a unit vector
     best = None
-    for k in _iter_box_chunks(half, a.size):
-        norm_sq = np.sum(k * k, axis=1).astype(float)
-        valid = (norm_sq > 0) & (norm_sq <= cut_sq)
-        if not np.any(valid):
+    for lower_sq, r in _shells(cutoff):
+        axial = _axial_extent(g * max(r / 2.0, 1.0) ** (-tau), a.size, r)
+        kv, nv = _shell_points(a, axial, lower_sq, r, limit, counter)
+        if kv.shape[0] == 0:
             continue
-        kv = k[valid]
-        nv = norm_sq[valid]
         prod = np.abs(kv @ a) * nv ** (tau / 2.0)
-        # Resolve ties on the chunk minimum exactly: smallest norm first,
-        # then the lexicographically smallest sign-canonical vector.
         tied = np.nonzero(prod == prod.min())[0]
         tied = tied[nv[tied] == nv[tied].min()]
-        for i in tied:
-            key = (float(prod[i]), float(nv[i]), _canonical(kv[i]))
-            if best is None or key < best:
-                best = key
-    value, _, k_canon = best
-    return float(value), k_canon
+        key = min((float(prod[j]), float(nv[j]), _canonical(kv[j])) for j in tied)
+        best = key if best is None else min(best, key)
+        g = best[0]
+    return best[0], best[2]
 
 
-def resonance_search(alpha, max_order: float, tol: float = 0.0):
+def resonance_search(alpha, max_order: float, tol: float = 0.0, *, budget=None):
     """Primitive integer vectors k with |k . alpha| <= tol, ||k|| <= max_order.
 
     Each resonance hyperplane is reported once, through its sign-canonical
     primitive representative, sorted by norm (then lexicographically).  With
     tol == 0 the test degrades gracefully to machine precision, since the
-    direction itself carries double-precision rounding.
+    direction itself carries double-precision rounding.  ``tol`` must be
+    finite and >= 0.  The candidates, the points of one padded cylinder of
+    radius max_order, count against ``budget`` (1e8 if None).
     """
     a = require_unit(alpha)
     if not math.isfinite(max_order):
         raise ValueError("max_order must be finite")
+    if not (0.0 <= tol < math.inf):
+        raise ValueError("tol must be finite and >= 0")
+    limit = _budget(budget)
     if max_order < 1:
         return []
-    half = int(math.floor(max_order))
-    max_sq = float(max_order) * float(max_order)
+    top = float(max_order)
+    axial = _axial_extent(max(tol, _RESONANCE_EPS_PER_NORM * top), a.size, top)
+    kv, nv = _shell_points(a, axial, 0.0, top, limit, [0])
+    inner = np.abs(kv @ a)
+    norm = np.sqrt(nv)
+    near = inner <= np.maximum(tol, _RESONANCE_EPS_PER_NORM * norm)
     seen = {}
-    for k in _iter_box_chunks(half, a.size):
-        norm_sq = np.sum(k * k, axis=1).astype(float)
-        valid = (norm_sq > 0) & (norm_sq <= max_sq)
-        if not np.any(valid):
+    for row, o, r in zip(kv[near], norm[near], inner[near]):
+        if np.gcd.reduce(np.abs(row)) != 1:
             continue
-        kv = k[valid]
-        nv = norm_sq[valid]
-        inner = np.abs(kv @ a)
-        norm = np.sqrt(nv)
-        near = inner <= np.maximum(tol, _RESONANCE_EPS_PER_NORM * norm)
-        if not np.any(near):
-            continue
-        for row, o, r in zip(kv[near], norm[near], inner[near]):
-            if np.gcd.reduce(np.abs(row)) != 1:
-                continue
-            canon = _canonical(row)
-            if canon not in seen:
-                seen[canon] = (float(o), float(r))
+        canon = _canonical(row)
+        if canon not in seen:
+            seen[canon] = (float(o), float(r))
     reports = [
         ResonanceReport(k=k, order=o, residual=r) for k, (o, r) in seen.items()
     ]
@@ -288,44 +279,51 @@ def resonance_search(alpha, max_order: float, tol: float = 0.0):
     return reports
 
 
-def _worst_margin(samples: np.ndarray, tau: float, cutoff: float) -> np.ndarray:
+def _worst_margin(samples: np.ndarray, tau: float, cutoff: float, limit: int):
     """Per-sample min over k of (|k.alpha| + slack*||k||) * ||k||^tau.
 
     A sample fails the truncated condition at level gamma exactly when its
     margin is < gamma, matching check_truncated's comparison slack.
     """
     n = samples.shape[1]
-    half = int(math.floor(cutoff))
+    side = 2 * int(math.floor(cutoff)) + 1
+    if side**n > limit:
+        raise ResourceLimitError(
+            f"measure box of {side**n} candidates exceeds the budget of {limit}"
+        )
+    k = np.indices((side,) * n).reshape(n, -1).T - side // 2
+    norm_sq = np.sum(k * k, axis=1)
     cut_sq = float(cutoff) * float(cutoff)
-    ks = []
-    for k in _iter_box_chunks(half, n):
-        norm_sq = np.sum(k * k, axis=1)
-        valid = (norm_sq > 0) & (norm_sq <= cut_sq)
-        ks.append(k[valid])
-    k_all = np.concatenate(ks, axis=0)
+    k_all = k[(norm_sq > 0) & (norm_sq <= cut_sq)]
     norm = np.sqrt(np.sum(k_all * k_all, axis=1).astype(float))
     weight = norm**tau
     slack = CMP_SLACK_PER_NORM * norm * weight
     margins = np.empty(samples.shape[0])
     step = max(1, int(5e6 / max(1, k_all.shape[0])))
     for s in range(0, samples.shape[0], step):
-        block = samples[s : s + step]
-        prod = np.abs(block @ k_all.T) * weight[None, :] + slack[None, :]
-        margins[s : s + step] = prod.min(axis=1)
+        p = samples[s : s + step] @ k_all.T
+        np.abs(p, out=p)
+        p *= weight
+        p += slack
+        margins[s : s + step] = p.min(axis=1)
     return margins
 
 
-def complement_measure_estimate(params: DioParams, samples: int, seed: int):
+def complement_measure_estimate(
+    params: DioParams, samples: int, seed: int, *, budget=None
+):
     """Monte Carlo estimate of the spherical measure of the complement.
 
     Draws ``samples`` uniform directions (normalized Gaussians), returns the
     fraction failing the truncated condition together with the binomial
     standard error sqrt(f(1-f)/samples).  Deterministic for a fixed seed.
+    The (2 floor(N) + 1)^n candidates count against ``budget`` (1e8 if None).
     """
     if params.cutoff is None:
         raise ValueError("measure estimation needs a finite cutoff")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    limit = _budget(budget)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((samples, params.dim))
     norms = np.linalg.norm(raw, axis=1)
@@ -335,7 +333,7 @@ def complement_measure_estimate(params: DioParams, samples: int, seed: int):
         raw[bad] = rng.standard_normal((int(bad.sum()), params.dim))
         norms = np.linalg.norm(raw, axis=1)
     dirs = raw / norms[:, None]
-    margins = _worst_margin(dirs, params.tau, float(params.cutoff))
+    margins = _worst_margin(dirs, params.tau, float(params.cutoff), limit)
     fraction = float(np.mean(margins < params.gamma))
     stderr = math.sqrt(fraction * (1.0 - fraction) / samples)
     return fraction, stderr

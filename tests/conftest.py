@@ -15,12 +15,13 @@ import pytest
 from torusfill import (
     CoverageResult,
     FillingCertificate,
+    ResonanceReport,
     ViolationWitness,
     det_exact,
     filling_time_bound,
     require_unit,
 )
-from torusfill.diophantine import CMP_SLACK_PER_NORM
+from torusfill.diophantine import CMP_SLACK_PER_NORM, _RESONANCE_EPS_PER_NORM
 
 
 def box_vectors(radius, dim):
@@ -184,6 +185,88 @@ def naive_check_truncated(alpha, params, *, enumeration_cutoff=None):
         return None
     (_, k_canon), inner, thr = best
     return ViolationWitness(k=k_canon, inner=abs(inner), threshold=thr)
+
+
+def naive_best_gamma(alpha, tau, cutoff):
+    """min |k.alpha| ||k||^tau by a chunked scan of the whole box."""
+    a = require_unit(alpha)
+    half = int(math.floor(cutoff))
+    cut_sq = float(cutoff) * float(cutoff)
+    best = None
+    for k in _iter_box_chunks(half, a.size):
+        norm_sq = np.sum(k * k, axis=1).astype(float)
+        valid = (norm_sq > 0) & (norm_sq <= cut_sq)
+        if not np.any(valid):
+            continue
+        kv = k[valid]
+        nv = norm_sq[valid]
+        prod = np.abs(kv @ a) * nv ** (tau / 2.0)
+        # Resolve ties on the chunk minimum exactly: smallest norm first,
+        # then the lexicographically smallest sign-canonical vector.
+        tied = np.nonzero(prod == prod.min())[0]
+        tied = tied[nv[tied] == nv[tied].min()]
+        for i in tied:
+            key = (float(prod[i]), float(nv[i]), _canonical(kv[i]))
+            if best is None or key < best:
+                best = key
+    value, _, k_canon = best
+    return float(value), k_canon
+
+
+def naive_resonance_search(alpha, max_order, tol=0.0):
+    """Primitive near-orthogonal vectors by a chunked scan of the whole box."""
+    a = require_unit(alpha)
+    if max_order < 1:
+        return []
+    half = int(math.floor(max_order))
+    max_sq = float(max_order) * float(max_order)
+    seen = {}
+    for k in _iter_box_chunks(half, a.size):
+        norm_sq = np.sum(k * k, axis=1).astype(float)
+        valid = (norm_sq > 0) & (norm_sq <= max_sq)
+        if not np.any(valid):
+            continue
+        kv = k[valid]
+        nv = norm_sq[valid]
+        inner = np.abs(kv @ a)
+        norm = np.sqrt(nv)
+        near = inner <= np.maximum(tol, _RESONANCE_EPS_PER_NORM * norm)
+        if not np.any(near):
+            continue
+        for row, o, r in zip(kv[near], norm[near], inner[near]):
+            if np.gcd.reduce(np.abs(row)) != 1:
+                continue
+            canon = _canonical(row)
+            if canon not in seen:
+                seen[canon] = (float(o), float(r))
+    reports = [
+        ResonanceReport(k=k, order=o, residual=r) for k, (o, r) in seen.items()
+    ]
+    reports.sort(key=lambda rep: (rep.order, rep.k))
+    return reports
+
+
+def naive_worst_margin(samples, tau, cutoff):
+    """Per-sample margins against the k of a chunked box scan."""
+    n = samples.shape[1]
+    half = int(math.floor(cutoff))
+    cut_sq = float(cutoff) * float(cutoff)
+    ks = []
+    for k in _iter_box_chunks(half, n):
+        norm_sq = np.sum(k * k, axis=1)
+        valid = (norm_sq > 0) & (norm_sq <= cut_sq)
+        ks.append(k[valid])
+    k_all = np.concatenate(ks, axis=0)
+    norm = np.sqrt(np.sum(k_all * k_all, axis=1).astype(float))
+    weight = norm**tau
+    slack = CMP_SLACK_PER_NORM * norm * weight
+    margins = np.empty(samples.shape[0])
+    step = max(1, int(5e6 / max(1, k_all.shape[0])))
+    for s in range(0, samples.shape[0], step):
+        block = samples[s : s + step]
+        prod = np.abs(block @ k_all.T) * weight[None, :] + slack[None, :]
+        margins[s : s + step] = prod.min(axis=1)
+    return margins
 
 
 def torus_distance_oracle(p, q):

@@ -156,6 +156,41 @@ def test_check_honours_budget(capsys):
     assert "pass" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--alpha", GOLDEN, "--normalize", "--tau", "1", "--N", "90"],
+        ["resonances", "--alpha", "2,1", "--normalize", "--max-order", "10"],
+        ["measure", "--n", "2", "--tau", "2", "--gamma", "0.02", "--N", "20",
+         "--samples", "100"],
+    ],
+)
+def test_diophantine_scans_honour_budget(capsys, argv):
+    code, _, err = run(capsys, *argv, "--budget", "1")
+    assert code == 3
+    assert "budget" in err
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--alpha", GOLDEN, "--normalize", "--N", "90", "--tau", value]
+        for value in ("nan", "inf", "-1")
+    ]
+    + [
+        ["resonances", "--alpha", "2,1", "--normalize", "--max-order", "10",
+         "--tol", value]
+        for value in ("nan", "inf", "-1")
+    ],
+)
+def test_gamma_tau_and_resonance_tol_domains(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "finite and >= 0" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("TORUSFILL_BUDGET", "2")
     code, _, _ = run(

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_check_truncated, naive_violation
+import torusfill.diophantine as dio
+from conftest import (
+    naive_best_gamma,
+    naive_check_truncated,
+    naive_resonance_search,
+    naive_violation,
+    naive_worst_margin,
+)
 from torusfill import (
     CylinderBody,
     DioParams,
@@ -140,21 +147,25 @@ RESONANT = [
 ORACLE_CUTOFF = {2: 1000.0, 3: 100.0, 4: 20.0}
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_check_matches_pivot_scan_oracle(data):
-    """Witnesses equal the box scan's bit for bit: k, inner and threshold."""
+def _draw_direction(data, integer_directions):
+    """One of the integer directions with random signs, or a Gaussian one."""
     if data.draw(st.booleans(), label="resonant"):
-        vec = np.array(data.draw(st.sampled_from(RESONANT)), dtype=float)
+        vec = np.array(data.draw(st.sampled_from(integer_directions)), dtype=float)
         signs = data.draw(
             st.lists(st.sampled_from([-1.0, 1.0]), min_size=vec.size,
                      max_size=vec.size)
         )
-        alpha = normalize(vec * np.array(signs))
-    else:
-        n = data.draw(st.integers(2, 4), label="n")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        alpha = normalize(np.random.default_rng(seed).standard_normal(n))
+        return normalize(vec * np.array(signs))
+    n = data.draw(st.integers(2, 4), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    return normalize(np.random.default_rng(seed).standard_normal(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_matches_pivot_scan_oracle(data):
+    """Witnesses equal the box scan's bit for bit: k, inner and threshold."""
+    alpha = _draw_direction(data, RESONANT)
     n = alpha.size
     tau = data.draw(st.floats(n - 1.0, n + 2.0), label="tau")
     gamma = data.draw(st.floats(1e-4, 0.9), label="gamma")
@@ -312,6 +323,146 @@ def test_resonance_search_skips_imprimitive_vectors():
     reports = resonance_search(normalize([1.0, 0.0]), 3.5)
     # (0, 1) only: (0, 2) and (0, 3) repeat the same hyperplane.
     assert [r.k for r in reports] == [(0, 1)]
+
+
+# Integer directions with zero entries, whose resonances include unit
+# vectors and whose smallest |alpha_i| is 0.
+ZEROS = [(1, 0), (0, 0, 1), (0, 2, 1), (1, 0, 2, 0)]
+# Largest cutoff drawn per dimension for the whole-box oracles.
+BOX_CUTOFF = {2: 300.0, 3: 30.0, 4: 10.0}
+
+
+def _draw_cutoff(data, n):
+    # Cutoffs below 2 scan a single shell.
+    return data.draw(
+        st.one_of(st.floats(1.0, 1.99), st.floats(1.0, BOX_CUTOFF[n])),
+        label="cutoff",
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_best_gamma_matches_box_scan_oracle(data):
+    """(gamma_max, argmin_k) equal the whole-box scan's bit for bit."""
+    alpha = _draw_direction(data, RESONANT + ZEROS)
+    n = alpha.size
+    tau = data.draw(
+        st.one_of(st.sampled_from([0.0, n - 1.0, float(n), n + 0.5, 30.0]),
+                  st.floats(0.0, n + 2.0)),
+        label="tau",
+    )
+    cutoff = _draw_cutoff(data, n)
+    assert best_gamma(alpha, tau, cutoff) == naive_best_gamma(alpha, tau, cutoff)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_resonance_search_matches_box_scan_oracle(data):
+    """Reports (k, order, residual) equal the whole-box scan's bit for bit."""
+    alpha = _draw_direction(data, RESONANT + ZEROS)
+    max_order = _draw_cutoff(data, alpha.size)
+    tol = data.draw(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)), label="tol"
+    )
+    got = resonance_search(alpha, max_order, tol)
+    assert got == naive_resonance_search(alpha, max_order, tol)
+
+
+CUBIC = normalize([1.0, 2.0 ** (1.0 / 3.0), 4.0 ** (1.0 / 3.0)])
+
+
+@pytest.mark.parametrize(
+    "alpha,tau,cutoff",
+    [(golden_direction(), 1.0, 2000.0), (CUBIC, 2.0, 100.0), (CUBIC, 2.0, 275.0)],
+)
+def test_best_gamma_matches_box_scan_oracle_at_scale(alpha, tau, cutoff):
+    assert best_gamma(alpha, tau, cutoff) == naive_best_gamma(alpha, tau, cutoff)
+
+
+def test_resonance_search_matches_box_scan_oracle_at_order_60():
+    """Seeded resonant integer directions (tol 0) and generic ones (tol 1e-3)."""
+    rng = np.random.default_rng(60)
+    for _ in range(4):
+        while True:
+            v = rng.integers(-20, 21, size=3)
+            if math.gcd(*v.tolist()) == 1 and 300 <= int(v @ v) <= 400:
+                break
+        for alpha, tol in ((normalize(v.astype(float)), 0.0),
+                           (normalize(rng.standard_normal(3)), 1e-3)):
+            got = resonance_search(alpha, 60.0, tol)
+            assert got == naive_resonance_search(alpha, 60.0, tol)
+            assert tol > 0.0 or len(got) > 100
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0])
+def test_best_gamma_rejects_bad_tau(tau):
+    with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+        best_gamma(golden_direction(), tau, 10.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
+def test_resonance_search_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        resonance_search(golden_direction(), 10.0, tol)
+
+
+def test_diophantine_scan_budgets():
+    alpha = golden_direction()
+    scans = [
+        lambda b: best_gamma(alpha, 1.0, 90.0, budget=b),
+        lambda b: resonance_search(alpha, 60.0, 1e-3, budget=b),
+        lambda b: complement_measure_estimate(
+            DioParams(2, 2.0, 0.02, 20.0), 100, 0, budget=b
+        ),
+    ]
+    for scan in scans:
+        with pytest.raises(ResourceLimitError):
+            scan(1)
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="budget"):
+                scan(budget)
+        scan(None)
+    # The measure box [-20, 20]^2 holds 41^2 candidates.
+    assert _least_budget(scans[2]) == 41**2
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda b: best_gamma(golden_direction(), 1.0, 2000.0, budget=b),
+        lambda b: best_gamma(CUBIC, 2.0, 100.0, budget=b),
+        lambda b: resonance_search(normalize([3.0, 4.0, 12.0]), 30.0, budget=b),
+    ],
+)
+def test_scan_budget_is_the_sum_over_its_cylinders(monkeypatch, scan):
+    """One counter spans every cylinder a scan enumerates."""
+    calls = []
+    enumerate_points = dio._fp_points
+
+    def recording(body, lam, limit, counter):
+        before = counter[0]
+        pts = enumerate_points(body, lam, limit, counter)
+        calls.append((body, counter[0] - before))
+        return pts
+
+    monkeypatch.setattr(dio, "_fp_points", recording)
+    scan(None)
+    cylinders = list(calls)
+    for body, used in cylinders:
+        assert used == _least_budget(
+            lambda b, body=body: lattice_points_in(body, 1.0, budget=b)
+        )
+    assert _least_budget(scan) == sum(used for _, used in cylinders)
+
+
+@pytest.mark.parametrize("n,tau,cutoff,samples", [(2, 2.0, 20.0, 20000),
+                                                 (3, 2.0, 8.0, 5000),
+                                                 (4, 3.0, 4.0, 2000)])
+def test_worst_margin_matches_box_scan_oracle(n, tau, cutoff, samples):
+    raw = np.random.default_rng(n).standard_normal((samples, n))
+    dirs = raw / np.linalg.norm(raw, axis=1)[:, None]
+    got = dio._worst_margin(dirs, tau, cutoff, 10**8)
+    assert np.array_equal(got, naive_worst_margin(dirs, tau, cutoff))
 
 
 def test_measure_estimate_deterministic_and_monotone():
