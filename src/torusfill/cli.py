@@ -172,17 +172,13 @@ def _render(command: str, params: dict, result: dict, config: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def _dio_params(ns, *, cutoff_required: bool = True) -> DioParams:
-    cutoff = getattr(ns, "N", None)
-    if cutoff is None and cutoff_required:
-        raise ValueError("--N is required for this command")
-    alpha = _alpha_from(ns)
-    return DioParams(dim=alpha.size, tau=ns.tau, gamma=ns.gamma, cutoff=cutoff)
+def _dio_params(alpha, ns) -> DioParams:
+    return DioParams(dim=alpha.size, tau=ns.tau, gamma=ns.gamma, cutoff=ns.N)
 
 
 def _cmd_check(ns, config):
     alpha = _alpha_from(ns)
-    params = _dio_params(ns)
+    params = _dio_params(alpha, ns)
     witness = check_truncated(alpha, params, budget=config.budget)
     p = {
         "alpha": alpha,
@@ -257,7 +253,7 @@ def _basis_payload(basis) -> dict:
 
 def _cmd_basis(ns, config):
     alpha = _alpha_from(ns)
-    params = _dio_params(ns)
+    params = _dio_params(alpha, ns)
     basis = adapted_basis(alpha, params, budget=config.budget)
     p = {"alpha": alpha, "tau": ns.tau, "gamma": ns.gamma, "N": params.cutoff}
     return p, _basis_payload(basis), 0

@@ -238,6 +238,8 @@ def best_gamma(alpha, tau: float, cutoff: float, *, budget=None):
         key = min((float(prod[j]), float(nv[j]), _canonical(kv[j])) for j in tied)
         best = key if best is None else min(best, key)
         g = best[0]
+        if g == 0.0:
+            break  # later shells hold larger norms, so no smaller key
     return best[0], best[2]
 
 

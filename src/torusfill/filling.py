@@ -62,25 +62,44 @@ def _scale_constant(n: int) -> int:
     return 1 + n * n * math.factorial(n)
 
 
+def _finite_positive(value: float, what: str) -> float:
+    """value, refused unless it is a finite positive double."""
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{what} is not a finite positive double")
+    return value
+
+
 def critical_cutoff(n: int, delta: float) -> float:
     """Smallest enumeration cutoff guaranteeing delta-filling certificates.
 
-    Equals (1 + n^2 n!) / delta; requires 0 < delta < 1/2.
+    Equals (1 + n^2 n!) / delta; requires 0 < delta < 1/2 and a result that
+    is a finite double.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an integer >= 2")
     if not (0.0 < delta < 0.5):
         raise ValueError("delta must lie in the open interval (0, 1/2)")
-    return _scale_constant(n) / delta
+    try:
+        value = _scale_constant(n) / delta
+    except OverflowError:  # 1 + n^2 n! is beyond the double range
+        value = math.inf
+    return _finite_positive(value, "critical cutoff")
 
 
 def bound_constant(n: int, tau: float) -> float:
-    """Constant C(n, tau) = (1 + n^2 n!)^(tau + 1) in the filling bound."""
+    """Constant C(n, tau) = (1 + n^2 n!)^(tau + 1) in the filling bound.
+
+    ``tau`` must be finite and >= n - 1, and the result a finite double.
+    """
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an integer >= 2")
-    if not (tau >= n - 1):
-        raise ValueError("tau must satisfy tau >= n - 1")
-    return float(_scale_constant(n)) ** (tau + 1.0)
+    if not (n - 1 <= tau < math.inf):
+        raise ValueError("tau must be finite and satisfy tau >= n - 1")
+    try:
+        value = float(_scale_constant(n)) ** (tau + 1.0)
+    except OverflowError:
+        value = math.inf
+    return _finite_positive(value, "bound constant")
 
 
 def filling_time_bound(n: int, tau: float, gamma: float, delta: float) -> float:
@@ -89,7 +108,9 @@ def filling_time_bound(n: int, tau: float, gamma: float, delta: float) -> float:
         raise ValueError("gamma must lie in (0, 1)")
     if not (0.0 < delta < 0.5):
         raise ValueError("delta must lie in (0, 1/2)")
-    return bound_constant(n, tau) / (gamma * delta**tau)
+    scale = gamma * delta**tau  # underflows to 0 for tiny gamma and delta
+    value = bound_constant(n, tau) / scale if scale > 0.0 else math.inf
+    return _finite_positive(value, "filling time bound")
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,16 @@ parameterized by a unit axis and two positive half-extents:
 * ``DiamondBody(axis, a, b)``: gauge a |s| + b ||perp||.  This is the exact
   polar of the cylinder with the same extents, and vice versa.
 
-Enumeration of integer points works at strongly anisotropic extents (axial
-to radial ratios beyond 1e10) by reducing the integer lattice against the
-body's quadratic proxy (a small LLL pass) and then running an exact
-coordinate-recursive sweep over the bounding ellipsoid.  A naive box scan
-over ||k|| <= lambda * sqrt(a^2 + b^2) would need more candidates than any
-reasonable budget for such bodies; the reduced sweep visits roughly as many
-nodes as there are points.  All reported witnesses and determinants are
-integer-exact.
+Integer points are enumerated by a small float LLL pass against the body's
+quadratic proxy and an exact coordinate-recursive sweep over the bounding
+ellipsoid.  Both read one R factor: W = QR for the embedded basis W, in
+whose coordinates the ellipsoid is a ball.  The LLL updates R with each
+size-reduction step and refactors only on a swap; the sweep factors the
+reduced basis afresh.  Far from ratio 1 (axial-to-radial extents around
+1e10 and beyond) the LLL gives up at its multiplier and entry caps; the
+sweep stays exact on the basis it gets, but may then exhaust the candidate
+budget.  An exact integral LLL is the planned fix (ROADMAP item 2).  All
+reported witnesses and determinants are integer-exact.
 """
 
 from __future__ import annotations
@@ -129,40 +131,13 @@ def det_exact(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _rank_exact(vectors) -> int:
-    """Rank of a list of integer vectors, exact over the rationals."""
-    if not vectors:
-        return 0
-    m = _as_int_matrix(vectors)
-    rows = len(m)
-    cols = len(m[0])
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pr = m[rank]
-        for r in range(rank + 1, rows):
-            if m[r][col] != 0:
-                f1, f2 = pr[col], m[r][col]
-                m[r] = [f1 * x - f2 * y for x, y in zip(m[r], pr)]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def _minors_gcd(vectors) -> int:
     """gcd of all maximal minors of the matrix with the given columns.
 
-    A set of j integer vectors extends to a basis of Z^n exactly when this
-    gcd is 1; any superset's determinant is divisible by it, which makes it
-    a sound pruning rule during basis search.
+    The gcd is 0 exactly when the vectors are linearly dependent.  A set of
+    j integer vectors extends to a basis of Z^n exactly when it is 1; any
+    superset's determinant is divisible by it, which makes it a sound
+    pruning rule during basis search.
     """
     cols = _as_int_matrix(vectors)
     j = len(cols)
@@ -331,8 +306,7 @@ class IntegerBasis:
     determinant: int
 
     def __post_init__(self):
-        mat = [list(col) for col in self.columns]
-        d = det_exact([[mat[c][r] for c in range(len(mat))] for r in range(len(mat))])
+        d = det_exact(self.columns)  # det(M^T) = det(M)
         if d != self.determinant or abs(d) != 1:
             raise InternalInvariantError("basis determinant is not +-1")
 
@@ -350,51 +324,50 @@ def dilation_needed(body, k) -> float:
     return float(body.gauge(arr.astype(float)))
 
 
+def _r_factor(body, U) -> np.ndarray:
+    """R of the QR factorization of the embedded columns of U, diag >= 0."""
+    W = np.stack(
+        [body.embed(U[:, j].astype(float)) for j in range(body.dim)], axis=1
+    )
+    _, R = np.linalg.qr(W)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    return R * signs[:, None]
+
+
 def _lll_reduce(body) -> np.ndarray:
     """Unimodular column matrix making the body's metric well conditioned.
 
-    Reduction quality only affects enumeration speed, never correctness, so
-    the pass gives up (returning the current exact basis) on iteration or
-    entry-size caps.
+    LLL (delta = 0.99) on the embedded basis W = QR, read off R: the
+    Gram-Schmidt coefficients are R[j, k] / R[j, j] and the squared lengths
+    R[i, i]^2.  A size-reduction step applies the same column operation to
+    U and R, which is exact; only a swap refactors.  Reduction quality only
+    affects enumeration speed, never correctness, so the pass gives up
+    (returning the current exact basis) on iteration or entry-size caps.
     """
     n = body.dim
-    cols = [np.zeros(n, dtype=np.int64) for _ in range(n)]
-    for j in range(n):
-        cols[j][j] = 1
-
-    def gs():
-        W = np.stack([body.embed(c.astype(float)) for c in cols])
-        mu = np.zeros((n, n))
-        q = np.zeros_like(W)
-        bstar = np.zeros(n)
-        for i in range(n):
-            v = W[i].copy()
-            for j in range(i):
-                mu[i, j] = (W[i] @ q[j]) / bstar[j]
-                v -= mu[i, j] * q[j]
-            q[i] = v
-            bstar[i] = float(v @ v)
-        return mu, bstar
-
+    U = np.eye(n, dtype=np.int64)
+    R = _r_factor(body, U)
     delta = 0.99
     k = 1
     steps = 0
     while k < n and steps < 4000:
         steps += 1
-        mu, bstar = gs()
         for j in range(k - 1, -1, -1):
-            r = round(mu[k, j])
+            r = round(R[j, k] / R[j, j])
             if r != 0:
-                if abs(r) > 2**20 or int(np.abs(cols[j]).max()) > 2**40:
-                    return np.stack(cols, axis=1)
-                cols[k] = cols[k] - np.int64(r) * cols[j]
-                mu, bstar = gs()
-        if bstar[k] >= (delta - mu[k, k - 1] ** 2) * bstar[k - 1]:
+                if abs(r) > 2**20 or int(np.abs(U[:, j]).max()) > 2**40:
+                    return U
+                U[:, k] -= np.int64(r) * U[:, j]
+                R[:, k] -= r * R[:, j]
+        mu = R[k - 1, k] / R[k - 1, k - 1]
+        if R[k, k] ** 2 >= (delta - mu**2) * R[k - 1, k - 1] ** 2:
             k += 1
         else:
-            cols[k - 1], cols[k] = cols[k], cols[k - 1]
+            U[:, [k - 1, k]] = U[:, [k, k - 1]]
+            R = _r_factor(body, U)
             k = max(k - 1, 1)
-    return np.stack(cols, axis=1)
+    return U
 
 
 def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
@@ -406,11 +379,9 @@ def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
     """
     n = body.dim
     U = _lll_reduce(body)
-    W = np.stack([body.embed(U[:, j].astype(float)) for j in range(n)], axis=1)
-    _, R = np.linalg.qr(W)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    R = R * signs[:, None]
+    # A fresh factor: the LLL's updated R carries rounding that grows with
+    # its multipliers, and the pad below must bound the sweep's own error.
+    R = _r_factor(body, U)
     rho = body.ellipsoid_radius(lam) * (1.0 + 1e-9) + 1e-12
     pad = 1e-9 * rho + 1e-12
 
@@ -513,7 +484,7 @@ def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
             lambdas: list[float] = []
             for idx in order:
                 vec = tuple(int(x) for x in cand[idx])
-                if _rank_exact(chosen + [vec]) > len(chosen):
+                if _minors_gcd(chosen + [vec]) != 0:
                     chosen.append(vec)
                     lambdas.append(float(g[idx]))
                     if len(chosen) == n:
@@ -581,9 +552,8 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
     """
     n = body.dim
     limit = _budget(budget)
-    wit = [list(w) for w in minima.witnesses]
-    if len(wit) == n:
-        d = det_exact([[wit[c][r] for c in range(n)] for r in range(n)])
+    if len(minima.witnesses) == n:
+        d = det_exact(minima.witnesses)
         if abs(d) == 1:
             return IntegerBasis(
                 columns=tuple(tuple(w) for w in minima.witnesses),
@@ -610,9 +580,7 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
     ordered = [tuple(int(x) for x in cand[i]) for i in _ordered(body, cand)[0]]
 
     def finish(cols):
-        mat = [[cols[c][r] for c in range(n)] for r in range(n)]
-        d = det_exact(mat)
-        return IntegerBasis(columns=tuple(cols), determinant=d)
+        return IntegerBasis(columns=tuple(cols), determinant=det_exact(cols))
 
     chosen: list[tuple[int, ...]] = []
     for vec in ordered:

@@ -80,6 +80,53 @@ def naive_minima(body):
     raise AssertionError("naive minima scan failed to terminate")
 
 
+def naive_lll_reduce(body) -> np.ndarray:
+    """Unimodular column matrix making the body's metric well conditioned.
+
+    Reduction quality only affects enumeration speed, never correctness, so
+    the pass gives up (returning the current exact basis) on iteration or
+    entry-size caps.
+    """
+    n = body.dim
+    cols = [np.zeros(n, dtype=np.int64) for _ in range(n)]
+    for j in range(n):
+        cols[j][j] = 1
+
+    def gs():
+        W = np.stack([body.embed(c.astype(float)) for c in cols])
+        mu = np.zeros((n, n))
+        q = np.zeros_like(W)
+        bstar = np.zeros(n)
+        for i in range(n):
+            v = W[i].copy()
+            for j in range(i):
+                mu[i, j] = (W[i] @ q[j]) / bstar[j]
+                v -= mu[i, j] * q[j]
+            q[i] = v
+            bstar[i] = float(v @ v)
+        return mu, bstar
+
+    delta = 0.99
+    k = 1
+    steps = 0
+    while k < n and steps < 4000:
+        steps += 1
+        mu, bstar = gs()
+        for j in range(k - 1, -1, -1):
+            r = round(mu[k, j])
+            if r != 0:
+                if abs(r) > 2**20 or int(np.abs(cols[j]).max()) > 2**40:
+                    return np.stack(cols, axis=1)
+                cols[k] = cols[k] - np.int64(r) * cols[j]
+                mu, bstar = gs()
+        if bstar[k] >= (delta - mu[k, k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            cols[k - 1], cols[k] = cols[k], cols[k - 1]
+            k = max(k - 1, 1)
+    return np.stack(cols, axis=1)
+
+
 def naive_violation(alpha, tau, gamma, cutoff):
     """Smallest-norm violating vector by full box scan, or None."""
     best = None

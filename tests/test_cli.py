@@ -107,6 +107,29 @@ def test_bound_command(capsys):
     assert "81" in out  # bound constant is echoed alongside
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cutoff", "--n", "171", "--delta", "0.4"), "critical cutoff"),
+        (("cutoff", "--n", "170", "--delta", "1e-300"), "critical cutoff"),
+        (("bound", "--n", "3", "--tau", "300"), "bound constant"),
+        (
+            ("bound", "--n", "2", "--tau", "1", "--gamma", "1e-300",
+             "--delta", "1e-300"),
+            "filling time bound",
+        ),
+        (("bound", "--n", "3", "--tau", "inf"), "tau must be finite"),
+    ],
+)
+def test_bound_overflow_is_usage_error(capsys, argv, message):
+    # Results beyond the double range and a non-finite tau are refused.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert message in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     code, _, err = run(capsys, "nosuch")
     assert code == 2

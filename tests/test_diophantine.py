@@ -379,6 +379,23 @@ def test_best_gamma_matches_box_scan_oracle_at_scale(alpha, tau, cutoff):
     assert best_gamma(alpha, tau, cutoff) == naive_best_gamma(alpha, tau, cutoff)
 
 
+@pytest.mark.parametrize(
+    "alpha,tau,cutoff",
+    [(normalize([0.0, 1.0, 1.0]), 2.0, 100.0),
+     (normalize([1.0, 1.0, 1.0, 1.0]), 3.0, 20.0)],
+)
+def test_best_gamma_stops_at_an_exact_resonance(alpha, tau, cutoff):
+    """Once the minimum is 0 no later shell can win, so none is scanned.
+
+    Scanning every shell takes about 60,000 candidates on both directions;
+    the shells up to the resonance take 15 and 166.
+    """
+    expected = naive_best_gamma(alpha, tau, cutoff)
+    assert expected[0] == 0.0
+    assert best_gamma(alpha, tau, cutoff) == expected
+    assert best_gamma(alpha, tau, cutoff, budget=1000) == expected
+
+
 def test_resonance_search_matches_box_scan_oracle_at_order_60():
     """Seeded resonant integer directions (tol 0) and generic ones (tol 1e-3)."""
     rng = np.random.default_rng(60)

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import naive_gauge, naive_lattice_points, naive_minima
+from conftest import (
+    naive_gauge,
+    naive_lattice_points,
+    naive_lll_reduce,
+    naive_minima,
+)
 from torusfill import (
     CylinderBody,
     DiamondBody,
@@ -20,6 +25,8 @@ from torusfill import (
     polar_body,
     successive_minima,
 )
+from torusfill import lattice
+from torusfill.diophantine import _shells
 
 
 def random_body(rng, dims=(2, 3)):
@@ -169,6 +176,65 @@ def test_minima_axis_aligned_diamond_exact():
     assert res.lambdas[0] == pytest.approx(0.4, rel=1e-12)
     assert res.lambdas[1] == pytest.approx(3.0, rel=1e-12)
     assert res.witnesses == ((0, 1), (1, 0))
+
+
+def test_minima_reject_a_dependent_candidate(monkeypatch):
+    # 2 e1 (dilation 2/3) comes before e3 and e2 (dilation 5/3) in the
+    # order, and the zero gcd of its minors with e1 keeps it out.
+    body = CylinderBody(np.array([1.0, 0.0, 0.0]), 3.0, 0.6)
+    zeros = []
+    gcd = lattice._minors_gcd
+
+    def spy(vectors):
+        g = gcd(vectors)
+        if g == 0:
+            zeros.append(tuple(vectors[-1]))
+        return g
+
+    monkeypatch.setattr(lattice, "_minors_gcd", spy)
+    res = successive_minima(body)
+    assert res.witnesses == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+    assert res.lambdas == pytest.approx((1.0 / 3.0, 1.0 / 0.6, 1.0 / 0.6))
+    assert (2, 0, 0) in zeros
+    assert np.allclose(res.lambdas, naive_minima(body)[0], atol=1e-12)
+
+
+def _lll_oracle_bodies():
+    """Seeded bodies of the enumerator's callers, and a ratio sweep."""
+    rng = np.random.default_rng(1313)
+
+    def unit(n):
+        v = rng.standard_normal(n)
+        return v / np.linalg.norm(v)
+
+    bodies = []
+    for n in (2, 3, 4):
+        for log_ratio in range(-6, 9):
+            for family in (CylinderBody, DiamondBody):
+                radial = 10.0 ** rng.uniform(-1.0, 0.5)
+                bodies.append(family(unit(n), radial * 10.0**log_ratio, radial))
+    # The shells of check_truncated at n=4, tau=3, gamma=0.002, N=60.
+    for _ in range(4):
+        alpha = unit(4)
+        for _, r in _shells(60.0):
+            axial = 0.002 * max(r / 2.0, 1.0) ** -3.0
+            bodies.append(CylinderBody(alpha, axial, r))
+    # The tube of adapted_basis at n=3, tau=2, gamma=0.02, N=275, and its
+    # co-reciprocal cylinder.
+    for _ in range(4):
+        tube = CylinderBody(unit(3), 275.0**2 / 0.02, 1.0 / 274.0)
+        bodies.extend([tube, coreciprocal_body(tube)])
+    return bodies
+
+
+def test_lll_reduce_matches_float_gram_schmidt_oracle():
+    """The R-factor LLL returns the same unimodular U as the float
+    Gram-Schmidt oracle, bit for bit: U fixes the sweep's output order."""
+    for body in _lll_oracle_bodies():
+        U = lattice._lll_reduce(body)
+        assert U.dtype == np.int64
+        assert np.array_equal(U, naive_lll_reduce(body))
+        assert abs(det_exact(U.tolist())) == 1
 
 
 def test_minima_budget_exhaustion():
