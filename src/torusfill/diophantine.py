@@ -13,7 +13,9 @@ exactly.  ``check_truncated`` and ``best_gamma`` visit the dyadic shells
 r = N, N/2, ... smallest first, with axial half-extent gamma (or the
 running minimum) times max(r/2, 1)^(-tau); ``resonance_search`` uses one
 cylinder.  The Monte Carlo estimate of the measure of the complement scans
-a box of integer vectors.  Every scan counts against one candidate budget.
+the sign-canonical primitive k of the ball ||k|| <= N, which decide every
+direction's worst margin, in cache-sized blocks of directions.  Every scan
+counts against one candidate budget.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ CMP_SLACK_PER_NORM = 1e-12
 # resonance shows up as |k.alpha| of order ||k|| * 2^-53.
 _RESONANCE_EPS_PER_NORM = 1e-14
 
+# Products per block of the measure scan: 2^16 doubles, 512 KB.
+_SCAN_PRODUCTS = 2**16
+
 
 def normalize(vec) -> np.ndarray:
     """Return vec scaled to unit Euclidean length."""
@@ -86,8 +91,9 @@ class DioParams:
             raise ValueError("dim must be an integer >= 2")
         # tau >= n - 1 keeps the condition satisfiable on a nonempty set;
         # equality is admitted because badly approximable directions exist.
-        if not (self.tau >= self.dim - 1):
-            raise ValueError("tau must satisfy tau >= dim - 1")
+        # An infinite tau makes every threshold gamma ||k||^-tau vanish.
+        if not (self.dim - 1 <= self.tau < math.inf):
+            raise ValueError("tau must be finite and satisfy tau >= dim - 1")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
         if self.cutoff is not None and not (1.0 <= self.cutoff < math.inf):
@@ -281,34 +287,86 @@ def resonance_search(alpha, max_order: float, tol: float = 0.0, *, budget=None):
     return reports
 
 
-def _worst_margin(samples: np.ndarray, tau: float, cutoff: float, limit: int):
-    """Per-sample min over k of (|k.alpha| + slack*||k||) * ||k||^tau.
+class _MarginScan:
+    """Worst margins of direction blocks against one ball of integer vectors.
 
-    A sample fails the truncated condition at level gamma exactly when its
+    The margin of a unit alpha is min over 0 < ||k|| <= N of
+    (|k.alpha| + slack ||k||) ||k||^tau, slack = CMP_SLACK_PER_NORM, so
+    alpha fails the truncated condition at level gamma exactly when its
     margin is < gamma, matching check_truncated's comparison slack.
+
+    Only the sign-canonical primitive k (gcd 1, first nonzero entry
+    positive) are scanned; the minimum over the ball is the same.  Negating
+    k negates every product and partial sum of k.alpha exactly, so both
+    signs give bit-identical |k.alpha|.  A multiple m k', m >= 2, has margin
+    m^(1+tau) times that of k', at least 4 times since tau >= 1, and float
+    error cannot close that gap: a dot product errs by at most n 2^-53 ||k||,
+    over 1000 times less than the slack term 1e-12 ||k||.
+
+    The (2 floor(N) + 1)^n box counts against the budget ``limit`` before
+    it is allocated.  Blocks of ``rows`` directions make about 2^16
+    products, 512 KB, which stay in a per-core L2 cache through the matmul,
+    abs, scale, shift and min, all in one preallocated buffer.
     """
-    n = samples.shape[1]
-    side = 2 * int(math.floor(cutoff)) + 1
-    if side**n > limit:
-        raise ResourceLimitError(
-            f"measure box of {side**n} candidates exceeds the budget of {limit}"
+
+    def __init__(self, n: int, tau: float, cutoff: float, limit: int):
+        side = 2 * int(math.floor(cutoff)) + 1
+        if side**n > limit:
+            raise ResourceLimitError(
+                f"measure box of {side**n} candidates exceeds the budget of {limit}"
+            )
+        k = np.indices((side,) * n).reshape(n, -1).T - side // 2
+        norm_sq = np.sum(k * k, axis=1)
+        first = k[np.arange(k.shape[0]), np.argmax(k != 0, axis=1)]
+        keep = (
+            (first > 0)
+            & (norm_sq <= cutoff * cutoff)
+            & (np.gcd.reduce(k, axis=1) == 1)
         )
-    k = np.indices((side,) * n).reshape(n, -1).T - side // 2
-    norm_sq = np.sum(k * k, axis=1)
-    cut_sq = float(cutoff) * float(cutoff)
-    k_all = k[(norm_sq > 0) & (norm_sq <= cut_sq)]
-    norm = np.sqrt(np.sum(k_all * k_all, axis=1).astype(float))
-    weight = norm**tau
-    slack = CMP_SLACK_PER_NORM * norm * weight
-    margins = np.empty(samples.shape[0])
-    step = max(1, int(5e6 / max(1, k_all.shape[0])))
-    for s in range(0, samples.shape[0], step):
-        p = samples[s : s + step] @ k_all.T
+        self.kt = k[keep].T.astype(float)
+        norm = np.sqrt(norm_sq[keep].astype(float))
+        self.weight = norm**tau
+        self.slack = CMP_SLACK_PER_NORM * norm * self.weight
+        self.rows = max(1, _SCAN_PRODUCTS // self.kt.shape[1])
+        self._buf = np.empty((self.rows, self.kt.shape[1]))
+
+    def __call__(self, dirs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the margins of at most ``rows`` directions into ``out``."""
+        p = self._buf[: dirs.shape[0]]
+        np.matmul(dirs, self.kt, out=p)
         np.abs(p, out=p)
-        p *= weight
-        p += slack
-        margins[s : s + step] = p.min(axis=1)
+        p *= self.weight
+        p += self.slack
+        return p.min(axis=1, out=out)
+
+
+def _worst_margin(samples: np.ndarray, tau: float, cutoff: float, limit: int):
+    """Per-sample margins (see ``_MarginScan``), scanned block by block.
+
+    Each float k.alpha errs by at most n 2^-53 ||k||, but its bits depend on
+    the dgemm's blocking: OpenBLAS rounds its edge tiles differently from
+    its FMA main kernel.  So a margin may differ from a scan of the whole
+    ball with other blocks by up to 2 n 2^-53 N^(1+tau).  A few margins in
+    10^5 do, by under 2e-12 relative (cancellation in k.alpha); a fraction
+    changes only if gamma falls within that distance of a margin.
+    """
+    scan = _MarginScan(samples.shape[1], tau, cutoff, limit)
+    margins = np.empty(samples.shape[0])
+    for s in range(0, samples.shape[0], scan.rows):
+        scan(samples[s : s + scan.rows], margins[s : s + scan.rows])
     return margins
+
+
+def _directions(rng, count: int, n: int) -> np.ndarray:
+    """``count`` uniform unit directions: normalised Gaussian draws."""
+    raw = rng.standard_normal((count, n))
+    norms = np.linalg.norm(raw, axis=1)
+    # Regenerate the (measure-zero) degenerate draws deterministically.
+    while np.any(norms < 1e-12):
+        bad = norms < 1e-12
+        raw[bad] = rng.standard_normal((int(bad.sum()), n))
+        norms = np.linalg.norm(raw, axis=1)
+    return raw / norms[:, None]
 
 
 def complement_measure_estimate(
@@ -319,23 +377,30 @@ def complement_measure_estimate(
     Draws ``samples`` uniform directions (normalized Gaussians), returns the
     fraction failing the truncated condition together with the binomial
     standard error sqrt(f(1-f)/samples).  Deterministic for a fixed seed.
+    A direction fails when its margin (see ``_MarginScan``) is < gamma.
     The (2 floor(N) + 1)^n candidates count against ``budget`` (1e8 if None).
+
+    Directions are drawn, normalised and scanned one block at a time, so
+    memory stays bounded whatever ``samples``.  Chunked Gaussian draws equal
+    the one-shot draw, so the fraction does not depend on the block size,
+    except for the regeneration of a degenerate draw (norm < 1e-12, about
+    1e-24 likely), which happens within its block.  The only decision in
+    floats is margin < gamma; a margin errs by at most n 2^-53 N^(1+tau)
+    (see ``_worst_margin``).
     """
     if params.cutoff is None:
         raise ValueError("measure estimation needs a finite cutoff")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     limit = _budget(budget)
+    scan = _MarginScan(params.dim, params.tau, params.cutoff, limit)
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((samples, params.dim))
-    norms = np.linalg.norm(raw, axis=1)
-    # Regenerate the (measure-zero) degenerate draws deterministically.
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        raw[bad] = rng.standard_normal((int(bad.sum()), params.dim))
-        norms = np.linalg.norm(raw, axis=1)
-    dirs = raw / norms[:, None]
-    margins = _worst_margin(dirs, params.tau, float(params.cutoff), limit)
-    fraction = float(np.mean(margins < params.gamma))
+    margins = np.empty(scan.rows)
+    failures = 0
+    for s in range(0, samples, scan.rows):
+        dirs = _directions(rng, min(scan.rows, samples - s), params.dim)
+        block = scan(dirs, margins[: dirs.shape[0]])
+        failures += int(np.count_nonzero(block < params.gamma))
+    fraction = failures / samples
     stderr = math.sqrt(fraction * (1.0 - fraction) / samples)
     return fraction, stderr

@@ -130,6 +130,25 @@ def test_bound_overflow_is_usage_error(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--alpha", GOLDEN, "--normalize", "--tau", "inf",
+         "--gamma", "0.4", "--N", "90"),
+        ("basis", "--alpha", GOLDEN, "--normalize", "--tau", "inf",
+         "--gamma", "0.4", "--N", "90"),
+        ("measure", "--n", "2", "--tau", "inf", "--gamma", "0.1", "--N", "3",
+         "--samples", "1000"),
+    ],
+)
+def test_infinite_tau_is_usage_error(capsys, argv):
+    # Every threshold gamma ||k||^-tau would vanish, so nothing could fail.
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "tau must be finite" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     code, _, err = run(capsys, "nosuch")
     assert code == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -480,6 +481,48 @@ def test_worst_margin_matches_box_scan_oracle(n, tau, cutoff, samples):
     dirs = raw / np.linalg.norm(raw, axis=1)[:, None]
     got = dio._worst_margin(dirs, tau, cutoff, 10**8)
     assert np.array_equal(got, naive_worst_margin(dirs, tau, cutoff))
+
+
+# Largest measure cutoff drawn per dimension, to keep the box-scan oracle cheap.
+MEASURE_CUTOFF = {2: 20.0, 3: 8.0, 4: 4.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_measure_estimate_matches_box_scan_oracle(data):
+    """The fraction is the box scan's; every margin is within the dgemm bound."""
+    n = data.draw(st.integers(2, 4), label="n")
+    tau = data.draw(st.sampled_from([n - 1.0, float(n), n + 0.5]), label="tau")
+    cutoff = data.draw(st.floats(1.0, MEASURE_CUTOFF[n]), label="cutoff")
+    gamma = data.draw(st.floats(1e-3, 0.5), label="gamma")
+    samples = data.draw(st.integers(1, 3000), label="samples")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    raw = np.random.default_rng(seed).standard_normal((samples, n))
+    dirs = raw / np.linalg.norm(raw, axis=1)[:, None]
+    ref = naive_worst_margin(dirs, tau, cutoff)
+    got = dio._worst_margin(dirs, tau, cutoff, 10**8)
+    assert np.all(np.abs(got - ref) <= 4 * n * 2.0**-53 * cutoff ** (1 + tau))
+    fraction, _ = complement_measure_estimate(
+        DioParams(n, tau, gamma, cutoff), samples, seed
+    )
+    assert fraction == float(np.mean(ref < gamma))
+
+
+@pytest.mark.parametrize("n,cutoff,count", [(2, 20.0, 384), (3, 8.0, 877)])
+def test_measure_scans_sign_canonical_primitive_k(n, cutoff, count):
+    """The columns are the ball's k with gcd 1 and first nonzero entry > 0."""
+    half = int(cutoff)
+    expected = {
+        k
+        for k in itertools.product(range(-half, half + 1), repeat=n)
+        if 0 < sum(x * x for x in k) <= cutoff * cutoff
+        and math.gcd(*k) == 1
+        and next(x for x in k if x != 0) > 0
+    }
+    kt = dio._MarginScan(n, 2.0, cutoff, 10**8).kt
+    columns = [tuple(int(x) for x in col) for col in kt.T]
+    assert len(columns) == len(set(columns)) == count
+    assert set(columns) == expected
 
 
 def test_measure_estimate_deterministic_and_monotone():
