@@ -10,15 +10,21 @@ parameterized by a unit axis and two positive half-extents:
   polar of the cylinder with the same extents, and vice versa.
 
 Integer points are enumerated by a small float LLL pass against the body's
-quadratic proxy and an exact coordinate-recursive sweep over the bounding
-ellipsoid.  Both read one R factor: W = QR for the embedded basis W, in
-whose coordinates the ellipsoid is a ball.  The LLL updates R with each
-size-reduction step and refactors only on a swap; the sweep factors the
-reduced basis afresh.  Far from ratio 1 (axial-to-radial extents around
-1e10 and beyond) the LLL gives up at its multiplier and entry caps; the
-sweep stays exact on the basis it gets, but may then exhaust the candidate
-budget.  An exact integral LLL is the planned fix (ROADMAP item 2).  All
-reported witnesses and determinants are integer-exact.
+quadratic proxy and a coordinate-recursive sweep over the bounding
+ellipsoid.  Both read an R factor of W = QR for the embedded basis W, in
+whose coordinates the ellipsoid is a ball, and an enumeration factors
+twice.  The LLL factors the identity basis once and then updates R in
+place: a size-reduction step by the column operation it applies to U, a
+swap by one Givens rotation.  The sweep factors the reduced basis afresh,
+so that its pad bounds only its own rounding.  Far from ratio 1
+(axial-to-radial extents around 1e10 and beyond) the LLL gives up at its
+multiplier and entry caps, and the sweep may then exhaust the candidate
+budget.  The sweep and the gauge filter are float computations too: at
+n = 4 and ratios near 1e15, ||k|| 2^-53 approaches the radial extent, the
+batched and per-point gauges of one k disagree, and the enumerated set can
+miss integer points of gauge just below 1.  An exact integral LLL and exact
+decisions are the planned fixes (ROADMAP items 2 and 3).  All reported
+witnesses and determinants are integer-exact.
 """
 
 from __future__ import annotations
@@ -340,34 +346,52 @@ def _lll_reduce(body) -> np.ndarray:
 
     LLL (delta = 0.99) on the embedded basis W = QR, read off R: the
     Gram-Schmidt coefficients are R[j, k] / R[j, j] and the squared lengths
-    R[i, i]^2.  A size-reduction step applies the same column operation to
-    U and R, which is exact; only a swap refactors.  Reduction quality only
+    R[i, i]^2.  R is factored once.  A size-reduction step applies the same
+    column operation to U and R, which is exact; a swap exchanges two
+    columns and restores the triangle with one Givens rotation of rows
+    k - 1 and k, then negates row k so that the diagonal stays >= 0.  The
+    loop runs on Python floats and ints: R as nested rows, U as a list of
+    integer columns.  Squares are taken as x * x, which gives inf where
+    ``x ** 2`` on a Python float would raise.  Reduction quality only
     affects enumeration speed, never correctness, so the pass gives up
     (returning the current exact basis) on iteration or entry-size caps.
     """
     n = body.dim
-    U = np.eye(n, dtype=np.int64)
-    R = _r_factor(body, U)
+    R = _r_factor(body, np.eye(n, dtype=np.int64)).tolist()
+    U = [[int(i == j) for i in range(n)] for j in range(n)]
     delta = 0.99
     k = 1
     steps = 0
     while k < n and steps < 4000:
         steps += 1
         for j in range(k - 1, -1, -1):
-            r = round(R[j, k] / R[j, j])
+            r = round(R[j][k] / R[j][j])
             if r != 0:
-                if abs(r) > 2**20 or int(np.abs(U[:, j]).max()) > 2**40:
-                    return U
-                U[:, k] -= np.int64(r) * U[:, j]
-                R[:, k] -= r * R[:, j]
-        mu = R[k - 1, k] / R[k - 1, k - 1]
-        if R[k, k] ** 2 >= (delta - mu**2) * R[k - 1, k - 1] ** 2:
+                if abs(r) > 2**20 or max(map(abs, U[j])) > 2**40:
+                    return np.array(U, dtype=np.int64).T
+                U[k] = [x - r * y for x, y in zip(U[k], U[j])]
+                for row in R[: j + 1]:
+                    row[k] -= r * row[j]
+        upper, lower = R[k - 1], R[k]
+        diag = upper[k - 1]
+        mu = upper[k] / diag
+        if lower[k] * lower[k] >= (delta - mu * mu) * (diag * diag):
             k += 1
-        else:
-            U[:, [k - 1, k]] = U[:, [k, k - 1]]
-            R = _r_factor(body, U)
-            k = max(k - 1, 1)
-    return U
+            continue
+        U[k - 1], U[k] = U[k], U[k - 1]
+        for row in R[: k + 1]:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        # Rotate rows k - 1 and k to zero the new R[k, k - 1]; the second
+        # row comes out negated, which keeps R[k, k] = sin * R[k - 1, k] >= 0.
+        h = math.hypot(upper[k - 1], lower[k - 1])
+        cos, sin = upper[k - 1] / h, lower[k - 1] / h
+        upper[k - 1], lower[k - 1] = h, 0.0
+        for i in range(k, n):
+            x, y = upper[i], lower[i]
+            upper[i] = cos * x + sin * y
+            lower[i] = sin * x - cos * y
+        k = max(k - 1, 1)
+    return np.array(U, dtype=np.int64).T
 
 
 def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
@@ -465,11 +489,21 @@ def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
     candidate value fits inside the scanned dilation the enumeration was
     complete, so the values are exact, with ties broken by dilation, then
     norm, then lexicographic order of the sign-canonical representative.
+    A volume that underflows to 0 or overflows leaves no finite, positive
+    start dilation, and is a ValueError.
     """
     n = body.dim
     limit = _budget(budget)
     counter = [0]
-    lam = 2.0 * body.volume() ** (-1.0 / n)
+    try:
+        lam = 2.0 * body.volume() ** (-1.0 / n)
+    except (OverflowError, ZeroDivisionError):
+        lam = math.nan
+    if not 0.0 < lam < math.inf:
+        raise ValueError(
+            "the body volume is out of the double range, so the minima "
+            "scan has no start dilation; the extents are too extreme"
+        )
     for _ in range(64):
         pts = _fp_points(body, lam, limit, counter)
         if pts.shape[0] >= n:

@@ -362,6 +362,37 @@ def test_duality_axis_aligned_products(capsys):
     assert doc["result"]["products"] == [1.0, 1.0, 1.0]
 
 
+def test_duality_overflowing_lll_squares_hit_the_budget(capsys):
+    # R entries near 1e300 square to inf in the LLL's Lovasz test; the scan
+    # then runs out of dilations, an exit 3, not an OverflowError.
+    code, out, err = run(
+        capsys, "duality", "--axis", "1,1", "--normalize",
+        "--axial", "1e300", "--radial", "1e-300",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--axis", "1,0.3,0.2", "--axial", "1e-200", "--radial", "1e-200"),
+        ("--axis", "1,0.3", "--axial", "1e200", "--radial", "1e200",
+         "--family", "diamond"),
+        ("--axis", "1,0.3,0.2", "--axial", "1", "--radial", "1e300"),
+    ],
+)
+def test_duality_degenerate_volume_is_usage_error(capsys, argv):
+    # The body volume underflows to 0 or overflows, leaving no finite,
+    # positive start dilation.
+    code, out, err = run(capsys, "duality", "--normalize", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert "volume" in err
+
+
 def test_resonances_lists_primitive_vectors(capsys):
     code, out, _ = run(
         capsys, "resonances", "--alpha", "2,1", "--normalize",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     naive_gauge,
@@ -235,6 +237,53 @@ def test_lll_reduce_matches_float_gram_schmidt_oracle():
         assert U.dtype == np.int64
         assert np.array_equal(U, naive_lll_reduce(body))
         assert abs(det_exact(U.tolist())) == 1
+
+
+# Largest |log10(axial / radial)| at which the float LLLs are compared bit
+# for bit.  From about 1e9 on, rounding in R flips an occasional multiplier
+# or Lovasz test against the oracle's Gram-Schmidt (about 0.3% of bodies
+# drawn in 1e9-1e10), whether swaps refactor R or rotate it.
+LLL_ORACLE_LOG_RATIO = 8.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_ratio=st.floats(-LLL_ORACLE_LOG_RATIO, LLL_ORACLE_LOG_RATIO),
+    log_radial=st.floats(-3.0, 3.0),
+    family=st.sampled_from([CylinderBody, DiamondBody]),
+)
+def test_lll_reduce_matches_oracle_on_drawn_bodies(
+    n, seed, log_ratio, log_radial, family
+):
+    """The Givens-updated LLL makes the oracle's decisions on any body whose
+    axial-to-radial ratio stays inside the oracle's reliable range."""
+    axis = np.random.default_rng(seed).standard_normal(n)
+    radial = 10.0**log_radial
+    body = family(axis / np.linalg.norm(axis), radial * 10.0**log_ratio, radial)
+    assert np.array_equal(lattice._lll_reduce(body), naive_lll_reduce(body))
+
+
+def test_lll_reduce_factors_once(monkeypatch):
+    """One QR per reduction: swaps update R by a rotation, never refactor."""
+    calls = []
+    r_factor = lattice._r_factor
+
+    def counted(body, U):
+        calls.append(1)
+        return r_factor(body, U)
+
+    monkeypatch.setattr(lattice, "_r_factor", counted)
+    rng = np.random.default_rng(16)
+    for _ in range(4):
+        axis = rng.standard_normal(3)
+        tube = CylinderBody(axis / np.linalg.norm(axis), 275.0**2 / 0.02, 1 / 274)
+        calls.clear()
+        U = lattice._lll_reduce(tube)
+        # Only a swap moves the first column, so the pass did swap.
+        assert not np.array_equal(U[:, 0], [1, 0, 0])
+        assert len(calls) == 1
 
 
 def test_minima_budget_exhaustion():
