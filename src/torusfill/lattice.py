@@ -10,26 +10,32 @@ parameterized by a unit axis and two positive half-extents:
   polar of the cylinder with the same extents, and vice versa.
 
 Integer points are enumerated by a small float LLL pass against the body's
-quadratic proxy and a coordinate-recursive sweep over the bounding
-ellipsoid.  Both read an R factor of W = QR for the embedded basis W, in
-whose coordinates the ellipsoid is a ball, and an enumeration factors
-twice.  The LLL factors the identity basis once and then updates R in
-place: a size-reduction step by the column operation it applies to U, a
-swap by one Givens rotation.  The sweep factors the reduced basis afresh,
-so that its pad bounds only its own rounding.  Far from ratio 1
-(axial-to-radial extents around 1e10 and beyond) the LLL gives up at its
-multiplier and entry caps, and the sweep may then exhaust the candidate
-budget.  The sweep and the gauge filter are float computations too: at
-n = 4 and ratios near 1e15, ||k|| 2^-53 approaches the radial extent, the
-batched and per-point gauges of one k disagree, and the enumerated set can
-miss integer points of gauge just below 1.  An exact integral LLL and exact
-decisions are the planned fixes (ROADMAP items 2 and 3).  All reported
-witnesses and determinants are integer-exact.
+quadratic proxy and a Fincke-Pohst sweep over the bounding ellipsoid.  Both
+read an R factor of W = QR for the embedded basis W, in whose coordinates
+the ellipsoid is a ball.  ``_r_factor`` computes it by Householder
+reflections on Python floats, embedding each integer column with the
+roundings of ``embed``, and an enumeration factors twice.  The LLL factors
+the identity basis once and then updates R in place: a size-reduction step
+by the column operation it applies to U, a swap by one Givens rotation.
+The sweep factors the reduced basis afresh, so that its pad bounds only its
+own rounding, and runs on Python floats and ints; numpy enters only to map
+the found coefficients back through U and to filter them by the gauge.
+Far from ratio 1 (axial-to-radial extents around 1e10 and beyond) the LLL
+gives up at its multiplier and entry caps, and the sweep may then exhaust
+the candidate budget; near the double range a sweep level's interval can
+lose its finite ends, which is a ResourceLimitError too.  The sweep and the
+gauge filter are float computations: at n = 4 and ratios near 1e15,
+||k|| 2^-53 approaches the radial extent, the batched and per-point gauges
+of one k disagree, and the enumerated set can miss integer points of gauge
+just below 1.  An exact integral LLL and exact decisions are the planned
+fixes (ROADMAP items 2 and 3).  All reported witnesses and determinants are
+integer-exact.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -165,6 +171,19 @@ def _canonical(k) -> tuple[int, ...]:
     return tuple(int(v) for v in k)
 
 
+# Integers below this in magnitude have at most 26 significant bits, so
+# their product with a half from ``_halves`` is exact.
+_HALF_BITS = 2**26
+
+
+def _halves(x: float) -> tuple[float, float]:
+    """Dekker's split x = hi + lo, each half of at most 26 significant bits,
+    so that the product of two halves is exact."""
+    t = x * 134217729.0  # 2**27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
 class _BodyBase:
     """Shared validation and helpers for the two body families."""
 
@@ -177,6 +196,9 @@ class _BodyBase:
         object.__setattr__(self, "axis", a)
         object.__setattr__(self, "axial_half", float(axial_half))
         object.__setattr__(self, "radial_half", float(radial_half))
+        object.__setattr__(
+            self, "_axis_halves", [(c, *_halves(c)) for c in a.tolist()]
+        )
 
     @property
     def dim(self) -> int:
@@ -191,6 +213,25 @@ class _BodyBase:
         perp = pts - s[:, None] * self.axis[None, :]
         perp_norm = np.linalg.norm(perp, axis=1)
         return s, perp, perp_norm, single
+
+    def _split_ints(self, u):
+        """s = u . axis and u - s axis of one integer vector, as Python
+        floats; ``_embed_ints`` scales them as ``embed`` does.
+
+        s is a chain of fused multiply-adds, s <- round(x c + s), which is
+        how numpy's BLAS dot in ``_split`` rounds it on FMA hardware, so the
+        two embeddings agree bit for bit there.  Each product is split
+        into exact partial products, and ``math.fsum`` rounds their sum
+        with s once.
+        """
+        s = 0.0
+        for x, (_, hi, lo) in zip(u, self._axis_halves):
+            if -_HALF_BITS < x < _HALF_BITS:
+                s = math.fsum((x * hi, x * lo, s))
+            else:
+                x_hi, x_lo = _halves(float(x))
+                s = math.fsum((x_hi * hi, x_hi * lo, x_lo * hi, x_lo * lo, s))
+        return s, [x - s * c for x, (c, _, _) in zip(u, self._axis_halves)]
 
     def gauge(self, points):
         """Smallest dilation of the body containing each point."""
@@ -226,6 +267,10 @@ class CylinderBody(_BodyBase):
             [(s / self.axial_half)[:, None], perp / self.radial_half], axis=1
         )
         return out[0] if single else out
+
+    def _embed_ints(self, u) -> list[float]:
+        s, perp = self._split_ints(u)
+        return [s / self.axial_half] + [p / self.radial_half for p in perp]
 
     def ellipsoid_radius(self, lam: float) -> float:
         # gauge <= lam implies (s/a)^2 + (|perp|/b)^2 <= 2 lam^2
@@ -270,6 +315,10 @@ class DiamondBody(_BodyBase):
             [(s * self.axial_half)[:, None], perp * self.radial_half], axis=1
         )
         return out[0] if single else out
+
+    def _embed_ints(self, u) -> list[float]:
+        s, perp = self._split_ints(u)
+        return [s * self.axial_half] + [p * self.radial_half for p in perp]
 
     def ellipsoid_radius(self, lam: float) -> float:
         # (a s)^2 + (b |perp|)^2 <= (a|s| + b|perp|)^2 <= lam^2
@@ -330,15 +379,43 @@ def dilation_needed(body, k) -> float:
     return float(body.gauge(arr.astype(float)))
 
 
-def _r_factor(body, U) -> np.ndarray:
-    """R of the QR factorization of the embedded columns of U, diag >= 0."""
-    W = np.stack(
-        [body.embed(U[:, j].astype(float)) for j in range(body.dim)], axis=1
-    )
-    _, R = np.linalg.qr(W)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    return R * signs[:, None]
+def _r_factor(body, U) -> list[list[float]]:
+    """R of the QR factorization of the embedded columns of U, diag >= 0.
+
+    Householder QR on Python floats, as rows.  Each column of W is the
+    body's embedding of a column of U; column j is reflected onto its
+    diagonal by H = I - tau v v^T with v_j = 1, as LAPACK's dgeqr2 does.
+    Norms are taken with ``math.hypot``, which scales like ``dnrm2``, so
+    extents near 1e+-300 give a finite R where a sum of squares would
+    overflow.  A row with a negative diagonal is negated.
+    """
+    n = body.dim
+    W = [body._embed_ints(u) for u in U.T.tolist()]
+    R = [[0.0] * n for _ in range(n)]
+    for j, x in enumerate(W):
+        head, tail = x[j], x[j + 1 :]
+        beta = head
+        tail_norm = math.hypot(*tail)
+        if tail_norm != 0.0:
+            beta = -math.copysign(math.hypot(head, tail_norm), head)
+            scale = head - beta
+            v = [t / scale for t in tail]
+            tau = -scale / beta
+            for y in W[j + 1 :]:
+                w = y[j]
+                for vi, yi in zip(v, y[j + 1 :]):
+                    w += vi * yi
+                w *= tau
+                y[j] -= w
+                for i, vi in enumerate(v, j + 1):
+                    y[i] -= w * vi
+        row = R[j]
+        row[j] = beta
+        for k in range(j + 1, n):
+            row[k] = W[k][j]
+        if beta < 0.0:
+            R[j] = [-r for r in row]
+    return R
 
 
 def _lll_reduce(body) -> np.ndarray:
@@ -346,18 +423,19 @@ def _lll_reduce(body) -> np.ndarray:
 
     LLL (delta = 0.99) on the embedded basis W = QR, read off R: the
     Gram-Schmidt coefficients are R[j, k] / R[j, j] and the squared lengths
-    R[i, i]^2.  R is factored once.  A size-reduction step applies the same
-    column operation to U and R, which is exact; a swap exchanges two
-    columns and restores the triangle with one Givens rotation of rows
-    k - 1 and k, then negates row k so that the diagonal stays >= 0.  The
-    loop runs on Python floats and ints: R as nested rows, U as a list of
-    integer columns.  Squares are taken as x * x, which gives inf where
-    ``x ** 2`` on a Python float would raise.  Reduction quality only
-    affects enumeration speed, never correctness, so the pass gives up
-    (returning the current exact basis) on iteration or entry-size caps.
+    R[i, i]^2.  R is factored once by ``_r_factor``.  A size-reduction step
+    applies the same column operation to U and R, which is exact; a swap
+    exchanges two columns and restores the triangle with one Givens
+    rotation of rows k - 1 and k, then negates row k so that the diagonal
+    stays >= 0.  The loop runs on Python floats and ints: R as the factor's
+    rows, updated in place, and U as a list of integer columns.  Squares
+    are taken as x * x, which gives inf where ``x ** 2`` on a Python float
+    would raise.  Reduction quality only affects enumeration speed, never
+    correctness, so the pass gives up (returning the current exact basis)
+    on iteration or entry-size caps.
     """
     n = body.dim
-    R = _r_factor(body, np.eye(n, dtype=np.int64)).tolist()
+    R = _r_factor(body, np.eye(n, dtype=np.int64))
     U = [[int(i == j) for i in range(n)] for j in range(n)]
     delta = 0.99
     k = 1
@@ -394,31 +472,52 @@ def _lll_reduce(body) -> np.ndarray:
     return np.array(U, dtype=np.int64).T
 
 
+_UNBOUNDED_SWEEP = (
+    "the enumeration has no finite candidate count in double precision; "
+    "the extents are too extreme"
+)
+
+
 def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
     """All nonzero integer points with gauge <= lam (+ absolute slack).
 
-    Exact sweep over the bounding ellipsoid in a reduced basis followed by a
-    closed-form gauge filter.  Raises ResourceLimitError when more than
-    ``budget`` candidates would be examined.
+    Fincke-Pohst sweep over the bounding ellipsoid in a reduced basis,
+    followed by a closed-form gauge filter.  The sweep runs on Python
+    floats and ints: R rows from a fresh ``_r_factor``, per-level partial
+    sums and the coefficient list.  Found coefficients go into one flat
+    int64 array, mapped back through U once.  Raises ResourceLimitError
+    when more than ``budget`` candidates would be examined, or when a
+    level's interval has no finite ends, so no finite candidate count.
     """
     n = body.dim
     U = _lll_reduce(body)
     # A fresh factor: the LLL's updated R carries rounding that grows with
     # its multipliers, and the pad below must bound the sweep's own error.
     R = _r_factor(body, U)
+    if not all(R[i][i] > 0.0 for i in range(n)):
+        # A zero or NaN pivot leaves its level's interval unbounded.
+        raise ResourceLimitError(_UNBOUNDED_SWEEP)
     rho = body.ellipsoid_radius(lam) * (1.0 + 1e-9) + 1e-12
     pad = 1e-9 * rho + 1e-12
+    slack = pad * (2 * rho + pad)
 
-    found_m: list[np.ndarray] = []
-    partial = np.zeros((n, n))  # partial[j] = row sums Sum_{i>level} R[j,i] m_i
-    coeffs = np.zeros(n, dtype=np.int64)
+    found = array("q")
+    coeffs = [0] * n
+    # above[level] = R[0..level-1][level]; partial[level][j] (j <= level) =
+    # Sum_{i > level} R[j][i] m_i.
+    above = [[R[j][level] for j in range(level)] for level in range(n)]
+    partial = [[0.0] * (level + 1) for level in range(n)]
 
     def descend(level: int, rem: float):
-        diag = R[level, level]
-        center = -partial[level, level] / diag
-        hw = math.sqrt(max(rem, 0.0)) / abs(diag) + pad / abs(diag)
-        lo = math.ceil(center - hw)
-        hi = math.floor(center + hw)
+        diag = R[level][level]
+        part = partial[level]
+        center = -part[level] / diag
+        hw = math.sqrt(rem) / diag + pad / diag
+        low, high = center - hw, center + hw
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ResourceLimitError(_UNBOUNDED_SWEEP)
+        lo = math.ceil(low)
+        hi = math.floor(high)
         if hi < lo:
             return
         counter[0] += hi - lo + 1
@@ -427,29 +526,28 @@ def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
                 f"enumeration exceeded budget of {budget} candidates"
             )
         if level == 0:
-            ms = np.arange(lo, hi + 1, dtype=np.int64)
-            vals = R[0, 0] * ms + partial[0, 0]
-            keep = ms[vals * vals <= rem + pad * (2 * rho + pad)]
-            for m0 in keep:
-                coeffs[0] = m0
-                found_m.append(coeffs.copy())
+            offset = part[0]
+            bound = rem + slack
+            for m in range(lo, hi + 1):
+                val = diag * m + offset
+                if val * val <= bound:
+                    coeffs[0] = m
+                    found.extend(coeffs)
             return
+        column = above[level]
         for m in range(lo, hi + 1):
-            contrib = R[level, level] * m + partial[level, level]
+            contrib = diag * m + part[level]
             rem_next = rem - contrib * contrib
-            if rem_next < -pad * (2 * rho + pad):
+            if rem_next < -slack:
                 continue
             coeffs[level] = m
-            partial[:level, level - 1] = (
-                partial[:level, level] + m * R[:level, level]
-            )
+            partial[level - 1] = [p + m * r for p, r in zip(part, column)]
             descend(level - 1, max(rem_next, 0.0))
 
-    partial[:, n - 1] = 0.0
     descend(n - 1, rho * rho)
-    if not found_m:
+    if not found:
         return np.empty((0, n), dtype=np.int64)
-    ms = np.stack(found_m)
+    ms = np.frombuffer(found, dtype=np.int64).reshape(-1, n)
     pts = ms @ U.T
     pts = pts[np.any(pts != 0, axis=1)]
     if pts.shape[0] == 0:

@@ -377,6 +377,25 @@ def test_duality_overflowing_lll_squares_hit_the_budget(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("--axial", "1", "--radial", "1e-300"),
+        ("--axial", "1", "--radial", "1e300", "--family", "diamond"),
+    ],
+)
+def test_duality_unbounded_sweep_hits_the_budget(capsys, argv):
+    # The volume is in range, but a level of the sweep has an interval with
+    # no finite ends: no finite candidate count, an exit 3, not an
+    # OverflowError from rounding an infinite bound.
+    code, out, err = run(
+        capsys, "duality", "--axis", "1,1", "--normalize", *argv
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("--axis", "1,0.3,0.2", "--axial", "1e-200", "--radial", "1e-200"),
         ("--axis", "1,0.3", "--axial", "1e200", "--radial", "1e200",
          "--family", "diamond"),

@@ -286,6 +286,101 @@ def test_lll_reduce_factors_once(monkeypatch):
         assert len(calls) == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_ratio=st.floats(-10.0, 10.0),
+    log_radial=st.floats(-3.0, 3.0),
+    family=st.sampled_from([CylinderBody, DiamondBody]),
+)
+def test_r_factor_matches_lapack_qr(n, seed, log_ratio, log_radial, family):
+    """The Householder factor on Python floats is LAPACK's R up to rounding.
+
+    Two checks, each against an a-priori bound.  The embedding of an
+    integer column agrees with ``body.embed`` to the rounding of one
+    n-term dot product (bit for bit where numpy's dot fuses its
+    multiply-adds, as the factor's does).  On the same embedded W, R^T R
+    agrees with that of the sign-fixed ``np.linalg.qr`` to
+    64 n 2^-53 ||W_i|| ||W_j||: both factors are backward stable, so this
+    holds however ill-conditioned W is, where entries of R itself (the
+    last pivot above all) can differ by more.
+    """
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(n)
+    radial = 10.0**log_radial
+    body = family(axis / np.linalg.norm(axis), radial * 10.0**log_ratio, radial)
+    U = rng.integers(-9, 10, (n, n))
+    while det_exact(U.tolist()) == 0:
+        U = rng.integers(-9, 10, (n, n))
+    eps = 2.0**-53
+
+    W = np.array([body._embed_ints(u) for u in U.T.tolist()]).T
+    W_ref = np.stack([body.embed(U[:, j].astype(float)) for j in range(n)], 1)
+    if family is CylinderBody:
+        scale = [1 / body.axial_half] + [1 / body.radial_half] * n
+    else:
+        scale = [body.axial_half] + [body.radial_half] * n
+    u_norm = np.linalg.norm(U.astype(float), axis=0)
+    embed_tol = 8 * n * eps * np.outer(scale, u_norm)
+    assert np.all(np.abs(W - W_ref) <= embed_tol)
+
+    R = np.array(lattice._r_factor(body, U))
+    assert np.array_equal(R, np.triu(R))
+    assert np.all(np.diag(R) >= 0.0)
+    _, R_ref = np.linalg.qr(W)
+    R_ref *= np.where(np.diag(R_ref) < 0.0, -1.0, 1.0)[:, None]
+    col = np.linalg.norm(W, axis=0)
+    gram_tol = 64 * n * eps * np.outer(col, col)
+    assert np.all(np.abs(R.T @ R - R_ref.T @ R_ref) <= gram_tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.integers(1, 62),
+)
+def test_embedding_dot_is_a_fused_chain(n, seed, bits):
+    """s = u . axis rounds as s <- round(u_i axis_i + s), each step once,
+    which is how numpy's dot rounds it on FMA hardware."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(n)
+    body = CylinderBody(axis / np.linalg.norm(axis), 1.0, 1.0)
+    u = [int(x) for x in rng.integers(-(2**bits), 2**bits, n)]
+    want = 0.0
+    for x, c in zip(u, body.axis.tolist()):
+        want = float(Fraction(float(x)) * Fraction(c) + Fraction(want))
+    assert body._split_ints(u)[0] == want
+
+
+def test_fp_points_factors_twice_without_lapack(monkeypatch):
+    """An enumeration factors twice (the LLL's start and the sweep's fresh
+    factor), both on Python floats: numpy's QR is never called."""
+    calls = []
+    r_factor = lattice._r_factor
+
+    def counted(body, U):
+        calls.append(1)
+        return r_factor(body, U)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(lattice, "_r_factor", counted)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    rng = np.random.default_rng(18)
+    axis = rng.standard_normal(3)
+    body = CylinderBody(axis / np.linalg.norm(axis), 12.0, 0.5)
+    pts = lattice._fp_points(body, 1.0, 10**6, [0])
+    assert len(calls) == 2
+    got = {tuple(int(x) for x in p) for p in pts}
+    want = {tuple(int(x) for x in p) for p in naive_lattice_points(body, 1.0)}
+    assert len(got) == 12 and got == want
+
+
 def test_minima_budget_exhaustion():
     body = CylinderBody(np.array([1.0, 0.0]), 3.0, 0.4)
     with pytest.raises(ResourceLimitError):
