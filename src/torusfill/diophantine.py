@@ -9,11 +9,12 @@ Diophantine condition with exponent ``tau``, constant ``gamma`` and cutoff
 Every scan here is geometry of numbers: the integer k that matter (a
 violation, a minimiser of |k . alpha| ||k||^tau, a resonance) lie in a thin
 cylinder around alpha, whose integer points the lattice enumerator lists
-exactly.  ``check_truncated`` and ``best_gamma`` visit the dyadic shells
-r = N, N/2, ... smallest first, with axial half-extent gamma (or the
-running minimum) times max(r/2, 1)^(-tau); ``resonance_search`` uses one
-cylinder.  The Monte Carlo estimate of the measure of the complement scans
-the sign-canonical primitive k of the ball ||k|| <= N, which decide every
+exactly, one of each +-k with its first nonzero entry positive.
+``check_truncated`` and ``best_gamma`` visit the dyadic shells r = N, N/2,
+... smallest first, with axial half-extent gamma (or the running minimum)
+times max(r/2, 1)^(-tau); ``resonance_search`` uses one cylinder.  The
+Monte Carlo estimate of the measure of the complement scans the
+sign-canonical primitive k of the ball ||k|| <= N, which decide every
 direction's worst margin, in cache-sized blocks of directions.  Every scan
 counts against one candidate budget.
 """
@@ -30,8 +31,8 @@ from .lattice import (
     CylinderBody,
     ResourceLimitError,
     _budget,
-    _canonical,
     _fp_points,
+    _row_dots,
     require_unit,
 )
 
@@ -130,7 +131,8 @@ def _shells(cutoff: float):
 
 
 def _shell_points(a, axial, lower_sq, r, limit, counter):
-    """(k, norm_sq) of the cylinder's points with norm_sq in (lower_sq, r^2]."""
+    """(k, norm_sq) of the cylinder's points with norm_sq in (lower_sq, r^2],
+    one of each +-k, sign-canonical."""
     k = _fp_points(CylinderBody(a, axial, r), 1.0, limit, counter)
     norm_sq = np.sum(k * k, axis=1).astype(float)
     keep = (norm_sq > lower_sq) & (norm_sq <= r * r)
@@ -198,15 +200,16 @@ def check_truncated(
         k, norm_sq = _shell_points(a, axial, lower_sq, r, limit, counter)
         norm = np.sqrt(norm_sq)
         thr = params.gamma * norm ** (-params.tau)
-        inner = k[:, pivot] * a_p + k[:, rest_axes] @ a_rest
+        inner = k[:, pivot] * a_p + _row_dots(k[:, rest_axes], a_rest)
         viol = np.nonzero(np.abs(inner) < thr - CMP_SLACK_PER_NORM * norm)[0]
         if viol.size == 0:
             continue
-        # Both signs of each point are present, with the same |inner|.
         viol = viol[norm_sq[viol] == norm_sq[viol].min()]
-        k_canon, i = min((_canonical(k[j]), j) for j in viol)
+        i = min(viol, key=lambda j: k[j].tolist())
         return ViolationWitness(
-            k=k_canon, inner=abs(float(inner[i])), threshold=float(thr[i])
+            k=tuple(k[i].tolist()),
+            inner=abs(float(inner[i])),
+            threshold=float(thr[i]),
         )
     return None
 
@@ -238,10 +241,12 @@ def best_gamma(alpha, tau: float, cutoff: float, *, budget=None):
         kv, nv = _shell_points(a, axial, lower_sq, r, limit, counter)
         if kv.shape[0] == 0:
             continue
-        prod = np.abs(kv @ a) * nv ** (tau / 2.0)
+        prod = np.abs(_row_dots(kv, a)) * nv ** (tau / 2.0)
         tied = np.nonzero(prod == prod.min())[0]
         tied = tied[nv[tied] == nv[tied].min()]
-        key = min((float(prod[j]), float(nv[j]), _canonical(kv[j])) for j in tied)
+        key = min(
+            (float(prod[j]), float(nv[j]), tuple(kv[j].tolist())) for j in tied
+        )
         best = key if best is None else min(best, key)
         g = best[0]
         if g == 0.0:
@@ -270,18 +275,15 @@ def resonance_search(alpha, max_order: float, tol: float = 0.0, *, budget=None):
     top = float(max_order)
     axial = _axial_extent(max(tol, _RESONANCE_EPS_PER_NORM * top), a.size, top)
     kv, nv = _shell_points(a, axial, 0.0, top, limit, [0])
-    inner = np.abs(kv @ a)
+    inner = np.abs(_row_dots(kv, a))
     norm = np.sqrt(nv)
     near = inner <= np.maximum(tol, _RESONANCE_EPS_PER_NORM * norm)
-    seen = {}
-    for row, o, r in zip(kv[near], norm[near], inner[near]):
-        if np.gcd.reduce(np.abs(row)) != 1:
-            continue
-        canon = _canonical(row)
-        if canon not in seen:
-            seen[canon] = (float(o), float(r))
+    near &= np.gcd.reduce(kv, axis=1) == 1
     reports = [
-        ResonanceReport(k=k, order=o, residual=r) for k, (o, r) in seen.items()
+        ResonanceReport(k=tuple(k), order=o, residual=r)
+        for k, o, r in zip(
+            kv[near].tolist(), norm[near].tolist(), inner[near].tolist()
+        )
     ]
     reports.sort(key=lambda rep: (rep.order, rep.k))
     return reports

@@ -135,14 +135,6 @@ class AdaptedBasis:
     minima: MinimaResult
     inverse: tuple[tuple[int, ...], ...]
 
-    def direction_deviation_bound(self, j: int) -> float:
-        n = self.params.dim
-        return (
-            n
-            * math.factorial(n)
-            / (self.multipliers[j] * (self.params.cutoff - 1.0))
-        )
-
 
 @dataclass(frozen=True)
 class FillingCertificate:

@@ -20,6 +20,10 @@ by the column operation it applies to U, a swap by one Givens rotation.
 The sweep factors the reduced basis afresh, so that its pad bounds only its
 own rounding, and runs on Python floats and ints; numpy enters only to map
 the found coefficients back through U and to filter them by the gauge.
+Every point matters only up to sign, and that rule lives in the sweep: it
+visits one of each +-k, returned with its first nonzero entry positive,
+while its candidate budget counts the symmetric sweep of both signs.
+``lattice_points_in`` alone restores both signs.
 Far from ratio 1 (axial-to-radial extents around 1e10 and beyond) the LLL
 gives up at its multiplier and entry caps, and the sweep may then exhaust
 the candidate budget; near the double range a sweep level's interval can
@@ -163,12 +167,16 @@ def _minors_gcd(vectors) -> int:
     return g
 
 
-def _canonical(k) -> tuple[int, ...]:
-    """Sign convention for reported vectors: first nonzero entry positive."""
-    for x in k:
-        if x != 0:
-            return tuple(int(v) for v in (k if x > 0 else [-y for y in k]))
-    return tuple(int(v) for v in k)
+def _row_dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rows @ v for a 2-d ``rows``, rounded alike whatever the row count.
+
+    numpy sends a one-row product to its dot kernel, which rounds
+    differently from the gemv it uses for two rows or more; gemv's bits for
+    a row do not depend on the rows around it.  So a lone row is repeated.
+    """
+    if rows.shape[0] == 1:
+        return (rows[[0, 0]] @ v)[:1]
+    return rows @ v
 
 
 # Integers below this in magnitude have at most 26 significant bits, so
@@ -209,7 +217,7 @@ class _BodyBase:
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        s = pts @ self.axis
+        s = pts @ self.axis if single else _row_dots(pts, self.axis)
         perp = pts - s[:, None] * self.axis[None, :]
         perp_norm = np.linalg.norm(perp, axis=1)
         return s, perp, perp_norm, single
@@ -236,10 +244,6 @@ class _BodyBase:
     def gauge(self, points):
         """Smallest dilation of the body containing each point."""
         raise NotImplementedError
-
-    def contains(self, points, lam: float = 1.0):
-        g = np.atleast_1d(self.gauge(points))
-        return bool(np.all(g <= lam + MEMBERSHIP_SLACK))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -349,9 +353,6 @@ class MinimaResult:
     witnesses: tuple[tuple[int, ...], ...]
     scan_dilation: float
 
-    def witness_matrix(self) -> np.ndarray:
-        return np.array(self.witnesses, dtype=np.int64).T
-
 
 @dataclass(frozen=True)
 class IntegerBasis:
@@ -432,7 +433,7 @@ def _lll_reduce(body) -> np.ndarray:
     are taken as x * x, which gives inf where ``x ** 2`` on a Python float
     would raise.  Reduction quality only affects enumeration speed, never
     correctness, so the pass gives up (returning the current exact basis)
-    on iteration or entry-size caps.
+    on iteration or entry-size caps, and on a non-finite coefficient.
     """
     n = body.dim
     R = _r_factor(body, np.eye(n, dtype=np.int64))
@@ -443,7 +444,10 @@ def _lll_reduce(body) -> np.ndarray:
     while k < n and steps < 4000:
         steps += 1
         for j in range(k - 1, -1, -1):
-            r = round(R[j][k] / R[j][j])
+            try:
+                r = round(R[j][k] / R[j][j])
+            except (OverflowError, ValueError, ZeroDivisionError):
+                return np.array(U, dtype=np.int64).T
             if r != 0:
                 if abs(r) > 2**20 or max(map(abs, U[j])) > 2**40:
                     return np.array(U, dtype=np.int64).T
@@ -479,15 +483,21 @@ _UNBOUNDED_SWEEP = (
 
 
 def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
-    """All nonzero integer points with gauge <= lam (+ absolute slack).
+    """One of each +-k among the nonzero integer points with gauge <= lam
+    (+ absolute slack), with its first nonzero entry positive.
 
     Fincke-Pohst sweep over the bounding ellipsoid in a reduced basis,
     followed by a closed-form gauge filter.  The sweep runs on Python
     floats and ints: R rows from a fresh ``_r_factor``, per-level partial
-    sums and the coefficient list.  Found coefficients go into one flat
-    int64 array, mapped back through U once.  Raises ResourceLimitError
-    when more than ``budget`` candidates would be examined, or when a
-    level's interval has no finite ends, so no finite candidate count.
+    sums and the coefficient list.  It visits one of each +-m: a lead level,
+    one whose higher coefficients are all 0, sweeps only m >= 0, or m >= 1
+    at level 0, so the zero vector is never found.  Negation is exact, so
+    the skipped half mirrors the swept one bit for bit, and the budget
+    counts the symmetric sweep: a lead level's range once, any other
+    level's twice.  Found coefficients go into one flat int64 array, mapped
+    back through U once.  Raises ResourceLimitError when more than
+    ``budget`` candidates would be examined, or when a level's interval has
+    no finite ends, so no finite candidate count.
     """
     n = body.dim
     U = _lll_reduce(body)
@@ -508,7 +518,7 @@ def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
     above = [[R[j][level] for j in range(level)] for level in range(n)]
     partial = [[0.0] * (level + 1) for level in range(n)]
 
-    def descend(level: int, rem: float):
+    def descend(level: int, rem: float, lead: bool):
         diag = R[level][level]
         part = partial[level]
         center = -part[level] / diag
@@ -520,11 +530,14 @@ def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
         hi = math.floor(high)
         if hi < lo:
             return
-        counter[0] += hi - lo + 1
+        counter[0] += (hi - lo + 1) if lead else 2 * (hi - lo + 1)
         if counter[0] > budget:
             raise ResourceLimitError(
                 f"enumeration exceeded budget of {budget} candidates"
             )
+        if lead:
+            # center is -0.0, so lo <= 0 <= hi.
+            lo = 0 if level else 1
         if level == 0:
             offset = part[0]
             bound = rem + slack
@@ -542,19 +555,16 @@ def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
                 continue
             coeffs[level] = m
             partial[level - 1] = [p + m * r for p, r in zip(part, column)]
-            descend(level - 1, max(rem_next, 0.0))
+            descend(level - 1, max(rem_next, 0.0), lead and m == 0)
 
-    descend(n - 1, rho * rho)
+    descend(n - 1, rho * rho, True)
     if not found:
         return np.empty((0, n), dtype=np.int64)
     ms = np.frombuffer(found, dtype=np.int64).reshape(-1, n)
     pts = ms @ U.T
-    pts = pts[np.any(pts != 0, axis=1)]
-    if pts.shape[0] == 0:
-        return np.empty((0, n), dtype=np.int64)
-    g = np.atleast_1d(body.gauge(pts.astype(float)))
-    pts = pts[g <= lam + MEMBERSHIP_SLACK]
-    return pts
+    pts = pts[body.gauge(pts.astype(float)) <= lam + MEMBERSHIP_SLACK]
+    first = pts[np.arange(pts.shape[0]), np.argmax(pts != 0, axis=1)]
+    return pts * np.sign(first)[:, None]
 
 
 def _ordered(body, pts: np.ndarray):
@@ -569,13 +579,14 @@ def lattice_points_in(body, lam: float, *, budget: int | None = None):
     """Exactly the nonzero integer points with dilation_needed <= lam.
 
     Sorted by (dilation, norm, lexicographic).  Both signs of each point are
-    present.  Raises ResourceLimitError if the sweep would examine more than
-    ``budget`` candidates (default 1e8 for None; a budget below 1 is a
-    ValueError).
+    present: the enumerator's one of each +-k and its negation.  Raises
+    ResourceLimitError if the sweep would examine more than ``budget``
+    candidates (default 1e8 for None; a budget below 1 is a ValueError).
     """
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and nonnegative")
     pts = _fp_points(body, lam, _budget(budget), [0])
+    pts = np.concatenate([pts, -pts])
     return pts[_ordered(body, pts)[0]]
 
 
@@ -586,7 +597,9 @@ def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
     and doubles until n independent witnesses appear; whenever the n-th
     candidate value fits inside the scanned dilation the enumeration was
     complete, so the values are exact, with ties broken by dilation, then
-    norm, then lexicographic order of the sign-canonical representative.
+    norm, then lexicographic order.  The candidates are the enumerator's
+    sign-canonical points (first nonzero entry positive), primitive ones
+    only: a multiple g k, g >= 2, sorts after k and depends on it.
     A volume that underflows to 0 or overflows leaves no finite, positive
     start dilation, and is a ValueError.
     """
@@ -604,13 +617,8 @@ def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
         )
     for _ in range(64):
         pts = _fp_points(body, lam, limit, counter)
-        if pts.shape[0] >= n:
-            reps = {}
-            for row in pts:
-                canon = _canonical(row)
-                if canon not in reps:
-                    reps[canon] = True
-            cand = np.array(list(reps.keys()), dtype=np.int64)
+        cand = pts[np.gcd.reduce(pts, axis=1) == 1]
+        if cand.shape[0] >= n:
             order, g = _ordered(body, cand)
             chosen: list[tuple[int, ...]] = []
             lambdas: list[float] = []
@@ -694,22 +702,15 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
 
     bound = n * minima.lambdas[-1]
     bound += MEMBERSHIP_SLACK * (1.0 + bound)
-    counter = [0]
-    pts = _fp_points(body, bound, limit, counter)
-    reps = {}
-    for row in pts:
-        if int(np.abs(row).max()) > ENTRY_LIMIT:
-            continue
-        canon = _canonical(row)
-        if canon in reps:
-            continue
-        if math.gcd(*(abs(x) for x in canon)) != 1:
-            continue  # non-primitive vectors cannot sit in a unimodular basis
-        reps[canon] = True
-    cand = np.array(list(reps.keys()), dtype=np.int64)
+    pts = _fp_points(body, bound, limit, [0])
+    # Non-primitive vectors cannot sit in a unimodular basis.
+    cand = pts[
+        (np.abs(pts).max(axis=1) <= ENTRY_LIMIT)
+        & (np.gcd.reduce(pts, axis=1) == 1)
+    ]
     if cand.shape[0] < n:
         raise InternalInvariantError("too few candidates for basis extraction")
-    ordered = [tuple(int(x) for x in cand[i]) for i in _ordered(body, cand)[0]]
+    ordered = [tuple(row) for row in cand[_ordered(body, cand)[0]].tolist()]
 
     def finish(cols):
         return IntegerBasis(columns=tuple(cols), determinant=det_exact(cols))

@@ -80,6 +80,46 @@ def naive_minima(body):
     raise AssertionError("naive minima scan failed to terminate")
 
 
+def naive_sweep_count(body, lam, R):
+    """Candidates of the Fincke-Pohst sweep over both signs of every
+    coefficient, on the upper-triangular factor R (rows) of a reduced basis.
+
+    The same pads and roundings as the library's sweep, with the partial
+    sums accumulated in its order (highest level first), but no sign rule:
+    every level sweeps its whole interval.  The library's one-sign sweep
+    must report exactly this count.
+    """
+    n = len(R)
+    rho = body.ellipsoid_radius(lam) * (1.0 + 1e-9) + 1e-12
+    pad = 1e-9 * rho + 1e-12
+    slack = pad * (2 * rho + pad)
+    coeffs = [0] * n
+    count = 0
+
+    def descend(level, rem):
+        nonlocal count
+        part = 0.0
+        for i in range(n - 1, level, -1):
+            part = part + coeffs[i] * R[level][i]
+        diag = R[level][level]
+        center = -part / diag
+        hw = math.sqrt(rem) / diag + pad / diag
+        lo, hi = math.ceil(center - hw), math.floor(center + hw)
+        count += max(hi - lo + 1, 0)
+        if level == 0:
+            return
+        for m in range(lo, hi + 1):
+            contrib = diag * m + part
+            rem_next = rem - contrib * contrib
+            if rem_next >= -slack:
+                coeffs[level] = m
+                descend(level - 1, max(rem_next, 0.0))
+        coeffs[level] = 0
+
+    descend(n - 1, rho * rho)
+    return count
+
+
 def naive_lll_reduce(body) -> np.ndarray:
     """Unimodular column matrix making the body's metric well conditioned.
 

@@ -393,6 +393,33 @@ def test_duality_unbounded_sweep_hits_the_budget(capsys, argv):
     assert err.startswith("resource limit:")
 
 
+def test_duality_non_finite_lll_coefficient_hits_the_budget(capsys):
+    # A Gram-Schmidt coefficient of the LLL is NaN here; the LLL gives up,
+    # and the sweep's pivot check ends the scan with an exit 3, not a usage
+    # error naming no input.
+    code, out, err = run(
+        capsys, "duality", "--axis", "1,1", "--normalize",
+        "--axial", "5e-324", "--radial", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:")
+
+
+def test_duality_collinear_points_hit_the_budget(capsys):
+    # A needle along (1, 1): every scan finds only the points (m, m), and
+    # the dilation doubles until the budget runs out.  The multiples of
+    # (1, 1) are dropped before the exact rank tests, so that takes well
+    # under a second.
+    code, out, err = run(
+        capsys, "duality", "--axis", "1,1", "--normalize",
+        "--axial", "1", "--radial", "1e-20", "--budget", "1000000",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,6 +10,7 @@ from conftest import (
     naive_lattice_points,
     naive_lll_reduce,
     naive_minima,
+    naive_sweep_count,
 )
 from torusfill import (
     CylinderBody,
@@ -24,6 +25,7 @@ from torusfill import (
     duality_check,
     extract_zbasis,
     lattice_points_in,
+    normalize,
     polar_body,
     successive_minima,
 )
@@ -181,23 +183,35 @@ def test_minima_axis_aligned_diamond_exact():
 
 
 def test_minima_reject_a_dependent_candidate(monkeypatch):
-    # 2 e1 (dilation 2/3) comes before e3 and e2 (dilation 5/3) in the
-    # order, and the zero gcd of its minors with e1 keeps it out.
-    body = CylinderBody(np.array([1.0, 0.0, 0.0]), 3.0, 0.6)
+    """Only primitive candidates are ranked, and a dependent primitive one
+    is kept out by the zero gcd of its minors with the chosen ones."""
+    ranked = []
     zeros = []
     gcd = lattice._minors_gcd
 
     def spy(vectors):
         g = gcd(vectors)
+        ranked.append(tuple(vectors[-1]))
         if g == 0:
             zeros.append(tuple(vectors[-1]))
         return g
 
     monkeypatch.setattr(lattice, "_minors_gcd", spy)
+    # 2 e1 (dilation 2/3) would come before e3 and e2 (dilation 5/3) in the
+    # order; the primitivity filter drops it before any gcd is taken.
+    body = CylinderBody(np.array([1.0, 0.0, 0.0]), 3.0, 0.6)
     res = successive_minima(body)
     assert res.witnesses == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
     assert res.lambdas == pytest.approx((1.0 / 3.0, 1.0 / 0.6, 1.0 / 0.6))
-    assert (2, 0, 0) in zeros
+    assert (2, 0, 0) not in ranked
+    assert np.allclose(res.lambdas, naive_minima(body)[0], atol=1e-12)
+    # e1 ties e2 and follows it lexicographically, after (1, 1, 0): it is
+    # primitive but dependent on the two.
+    ranked.clear()
+    body = CylinderBody(normalize([1.0, 1.0, 0.0]), 3.0, 0.6)
+    res = successive_minima(body)
+    assert res.witnesses == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    assert (1, 0, 0) in zeros
     assert np.allclose(res.lambdas, naive_minima(body)[0], atol=1e-12)
 
 
@@ -376,9 +390,73 @@ def test_fp_points_factors_twice_without_lapack(monkeypatch):
     body = CylinderBody(axis / np.linalg.norm(axis), 12.0, 0.5)
     pts = lattice._fp_points(body, 1.0, 10**6, [0])
     assert len(calls) == 2
-    got = {tuple(int(x) for x in p) for p in pts}
+    got = {tuple(int(x) for x in p) for p in np.concatenate([pts, -pts])}
     want = {tuple(int(x) for x in p) for p in naive_lattice_points(body, 1.0)}
     assert len(got) == 12 and got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from([CylinderBody, DiamondBody]),
+    lam=st.floats(0.3, 1.5),
+)
+def test_fp_points_sweeps_one_of_each_sign_pair(n, seed, family, lam):
+    """The sweep returns each +-k pair once, first nonzero entry positive,
+    and its closure under negation is the box scan's point set."""
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(n)
+    if family is CylinderBody:
+        extents = rng.uniform(0.3, 3.0), rng.uniform(0.3, 1.5)
+    else:
+        extents = rng.uniform(0.4, 2.0), rng.uniform(0.4, 2.0)
+    body = family(axis / np.linalg.norm(axis), *map(float, extents))
+    pts = lattice._fp_points(body, lam, 10**6, [0])
+    rows = [tuple(int(x) for x in p) for p in pts]
+    assert all(next(x for x in p if x != 0) > 0 for p in rows)
+    assert len(set(rows)) == len(rows)
+    closure = set(rows) | {tuple(-x for x in p) for p in rows}
+    want = {tuple(int(x) for x in p) for p in naive_lattice_points(body, lam)}
+    assert closure == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from([CylinderBody, DiamondBody]),
+    log_ratio=st.floats(-3.0, 3.0),
+    lam=st.floats(0.5, 2.0),
+)
+def test_fp_points_counts_the_symmetric_sweep(n, seed, family, log_ratio, lam):
+    """The budget counts both signs: the one-sign sweep's candidate count is
+    that of a sweep of every coefficient on the same factor, and the budget
+    it needs is exactly that count."""
+    rng = np.random.default_rng(seed)
+    axis = rng.standard_normal(n)
+    radial = float(10.0 ** rng.uniform(-1.0, 0.5))
+    body = family(axis / np.linalg.norm(axis), radial * 10.0**log_ratio, radial)
+    R = lattice._r_factor(body, lattice._lll_reduce(body))
+    want = naive_sweep_count(body, lam, R)
+    counter = [0]
+    lattice._fp_points(body, lam, 10**7, counter)
+    assert counter[0] == want
+    lattice._fp_points(body, lam, want, [0])
+    if want > 1:
+        with pytest.raises(ResourceLimitError):
+            lattice._fp_points(body, lam, want - 1, [0])
+
+
+def test_lll_non_finite_coefficient_gives_up():
+    """R[0][1] is inf here, so R[0][1] / R[0][0] has no integer rounding;
+    the LLL returns its current basis and the sweep's finiteness checks end
+    the enumeration."""
+    body = DiamondBody(normalize([1.0, 1.0]), 1.7e308, 1e-300)
+    U = lattice._lll_reduce(body)
+    assert abs(det_exact(U.T.tolist())) == 1
+    with pytest.raises(ResourceLimitError):
+        lattice_points_in(body, 1.0)
 
 
 def test_minima_budget_exhaustion():
