@@ -15,8 +15,8 @@ exactly, one of each +-k with its first nonzero entry positive.
 times max(r/2, 1)^(-tau); ``resonance_search`` uses one cylinder.  The
 Monte Carlo estimate of the measure of the complement scans the
 sign-canonical primitive k of the ball ||k|| <= N, which decide every
-direction's worst margin, in cache-sized blocks of directions.  Every scan
-counts against one candidate budget.
+direction's worst margin, in cache-sized blocks of directions.  Each call
+charges every candidate it examines to one budget record, ``lattice._Work``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ import numpy as np
 from .lattice import (
     UNIT_NORM_TOL,
     CylinderBody,
-    ResourceLimitError,
-    _budget,
     _fp_points,
     _row_dots,
+    _Work,
     require_unit,
 )
 
@@ -78,14 +77,13 @@ def normalize(vec) -> np.ndarray:
 class DioParams:
     """Parameters (n, tau, gamma, N) of a truncated Diophantine condition.
 
-    ``cutoff`` may be None to denote the untruncated condition; operations
-    that need a finite enumeration then require an explicit bound.
+    ``cutoff`` is finite and >= 1: every operation enumerates up to it.
     """
 
     dim: int
     tau: float
     gamma: float
-    cutoff: float | None
+    cutoff: float
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 2:
@@ -97,10 +95,8 @@ class DioParams:
             raise ValueError("tau must be finite and satisfy tau >= dim - 1")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
-        if self.cutoff is not None and not (1.0 <= self.cutoff < math.inf):
-            raise ValueError(
-                "cutoff must be finite and >= 1 (or None for no cutoff)"
-            )
+        if self.cutoff is None or not (1.0 <= self.cutoff < math.inf):
+            raise ValueError("cutoff must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,10 +126,10 @@ def _shells(cutoff: float):
     return list(zip([0.0] + [r * r for r in radii[:-1]], radii))
 
 
-def _shell_points(a, axial, lower_sq, r, limit, counter):
+def _shell_points(a, axial, lower_sq, r, work):
     """(k, norm_sq) of the cylinder's points with norm_sq in (lower_sq, r^2],
     one of each +-k, sign-canonical."""
-    k = _fp_points(CylinderBody(a, axial, r), 1.0, limit, counter)
+    k = _fp_points(CylinderBody(a, axial, r), 1.0, work)
     norm_sq = np.sum(k * k, axis=1).astype(float)
     keep = (norm_sq > lower_sq) & (norm_sq <= r * r)
     return k[keep], norm_sq[keep]
@@ -150,9 +146,7 @@ def _axial_extent(bound: float, n: int, r: float) -> float:
     return bound * (1.0 + 1e-12) + 4.0 * n * r * 2.0**-53
 
 
-def check_truncated(
-    alpha, params: DioParams, *, enumeration_cutoff=None, budget=None
-):
+def check_truncated(alpha, params: DioParams, *, budget=None):
     """Decide membership in the truncated Diophantine set.
 
     Returns None when every integer k with 0 < ||k|| <= cutoff respects
@@ -167,37 +161,26 @@ def check_truncated(
     points are enumerated exactly, so the first shell with a violation
     holds the smallest-norm one.  ``inner`` is computed as
     k_p alpha_p + (rest of k) . (rest of alpha), with p the index of the
-    largest |alpha_i|.  All shells count candidates against one ``budget``
-    (the default 1e8 for None); exceeding it raises ResourceLimitError and
-    a budget below 1 is a ValueError.
+    largest |alpha_i|.  All shells charge their candidates to one record of
+    ``budget`` (the default 1e8 for None); exhausting it raises
+    ResourceLimitError and a budget below 1 is a ValueError.
     """
     a = require_unit(alpha)
     if a.size != params.dim:
         raise ValueError("alpha dimension does not match params.dim")
-    cutoff = params.cutoff if params.cutoff is not None else enumeration_cutoff
-    if cutoff is None:
-        raise ValueError(
-            "membership without a cutoff is undecidable by enumeration; "
-            "supply params.cutoff or enumeration_cutoff"
-        )
-    if not math.isfinite(cutoff):
-        raise ValueError("enumeration_cutoff must be finite")
-    limit = _budget(budget)
-    if cutoff < 1:
-        return None  # no nonzero integer vector is that short
+    work = _Work(budget)
     pivot = int(np.argmax(np.abs(a)))
     rest_axes = [j for j in range(a.size) if j != pivot]
     a_p = float(a[pivot])
     a_rest = a[rest_axes]
-    counter = [0]
-    for lower_sq, r in _shells(cutoff):
+    for lower_sq, r in _shells(params.cutoff):
         shortest = max(r / 2.0, 1.0)
         axial = params.gamma * shortest ** (-params.tau)
         # A violation needs gamma ||k||^(-tau) > slack ||k|| >= slack
         # shortest, so below that the shell cannot hold one.
         if axial * (1.0 + 1e-9) <= CMP_SLACK_PER_NORM * shortest:
             continue
-        k, norm_sq = _shell_points(a, axial, lower_sq, r, limit, counter)
+        k, norm_sq = _shell_points(a, axial, lower_sq, r, work)
         norm = np.sqrt(norm_sq)
         thr = params.gamma * norm ** (-params.tau)
         inner = k[:, pivot] * a_p + _row_dots(k[:, rest_axes], a_rest)
@@ -224,21 +207,20 @@ def best_gamma(alpha, tau: float, cutoff: float, *, budget=None):
     The shells of ``check_truncated`` are scanned smallest first, starting
     from g = min |alpha_i| (a unit vector).  A k in (r/2, r] with product
     <= g has |k.alpha| <= g max(r/2, 1)^(-tau), so it lies in that padded
-    cylinder.  ``tau`` must be finite and >= 0; all shells count against
-    one ``budget`` (1e8 if None).
+    cylinder.  ``tau`` must be finite and >= 0; all shells charge one
+    record of ``budget`` (1e8 if None).
     """
     a = require_unit(alpha)
     if cutoff is None or not (1.0 <= cutoff < math.inf):
         raise ValueError("best_gamma needs a finite cutoff >= 1")
     if not (0.0 <= tau < math.inf):
         raise ValueError("tau must be finite and >= 0")
-    limit = _budget(budget)
-    counter = [0]
+    work = _Work(budget)
     g = float(np.min(np.abs(a)))  # the product at a unit vector
     best = None
     for lower_sq, r in _shells(cutoff):
         axial = _axial_extent(g * max(r / 2.0, 1.0) ** (-tau), a.size, r)
-        kv, nv = _shell_points(a, axial, lower_sq, r, limit, counter)
+        kv, nv = _shell_points(a, axial, lower_sq, r, work)
         if kv.shape[0] == 0:
             continue
         prod = np.abs(_row_dots(kv, a)) * nv ** (tau / 2.0)
@@ -262,19 +244,19 @@ def resonance_search(alpha, max_order: float, tol: float = 0.0, *, budget=None):
     tol == 0 the test degrades gracefully to machine precision, since the
     direction itself carries double-precision rounding.  ``tol`` must be
     finite and >= 0.  The candidates, the points of one padded cylinder of
-    radius max_order, count against ``budget`` (1e8 if None).
+    radius max_order, are charged against ``budget`` (1e8 if None).
     """
     a = require_unit(alpha)
     if not math.isfinite(max_order):
         raise ValueError("max_order must be finite")
     if not (0.0 <= tol < math.inf):
         raise ValueError("tol must be finite and >= 0")
-    limit = _budget(budget)
+    work = _Work(budget)
     if max_order < 1:
         return []
     top = float(max_order)
     axial = _axial_extent(max(tol, _RESONANCE_EPS_PER_NORM * top), a.size, top)
-    kv, nv = _shell_points(a, axial, 0.0, top, limit, [0])
+    kv, nv = _shell_points(a, axial, 0.0, top, work)
     inner = np.abs(_row_dots(kv, a))
     norm = np.sqrt(nv)
     near = inner <= np.maximum(tol, _RESONANCE_EPS_PER_NORM * norm)
@@ -305,18 +287,15 @@ class _MarginScan:
     error cannot close that gap: a dot product errs by at most n 2^-53 ||k||,
     over 1000 times less than the slack term 1e-12 ||k||.
 
-    The (2 floor(N) + 1)^n box counts against the budget ``limit`` before
-    it is allocated.  Blocks of ``rows`` directions make about 2^16
+    The (2 floor(N) + 1)^n box is charged to ``work`` before it is
+    allocated.  Blocks of ``rows`` directions make about 2^16
     products, 512 KB, which stay in a per-core L2 cache through the matmul,
     abs, scale, shift and min, all in one preallocated buffer.
     """
 
-    def __init__(self, n: int, tau: float, cutoff: float, limit: int):
+    def __init__(self, n: int, tau: float, cutoff: float, work: _Work):
         side = 2 * int(math.floor(cutoff)) + 1
-        if side**n > limit:
-            raise ResourceLimitError(
-                f"measure box of {side**n} candidates exceeds the budget of {limit}"
-            )
+        work.charge(side**n)
         k = np.indices((side,) * n).reshape(n, -1).T - side // 2
         norm_sq = np.sum(k * k, axis=1)
         first = k[np.arange(k.shape[0]), np.argmax(k != 0, axis=1)]
@@ -342,7 +321,7 @@ class _MarginScan:
         return p.min(axis=1, out=out)
 
 
-def _worst_margin(samples: np.ndarray, tau: float, cutoff: float, limit: int):
+def _worst_margin(samples: np.ndarray, tau: float, cutoff: float):
     """Per-sample margins (see ``_MarginScan``), scanned block by block.
 
     Each float k.alpha errs by at most n 2^-53 ||k||, but its bits depend on
@@ -352,7 +331,7 @@ def _worst_margin(samples: np.ndarray, tau: float, cutoff: float, limit: int):
     10^5 do, by under 2e-12 relative (cancellation in k.alpha); a fraction
     changes only if gamma falls within that distance of a margin.
     """
-    scan = _MarginScan(samples.shape[1], tau, cutoff, limit)
+    scan = _MarginScan(samples.shape[1], tau, cutoff, _Work(None))
     margins = np.empty(samples.shape[0])
     for s in range(0, samples.shape[0], scan.rows):
         scan(samples[s : s + scan.rows], margins[s : s + scan.rows])
@@ -380,7 +359,8 @@ def complement_measure_estimate(
     fraction failing the truncated condition together with the binomial
     standard error sqrt(f(1-f)/samples).  Deterministic for a fixed seed.
     A direction fails when its margin (see ``_MarginScan``) is < gamma.
-    The (2 floor(N) + 1)^n candidates count against ``budget`` (1e8 if None).
+    The (2 floor(N) + 1)^n candidates are charged against ``budget`` (1e8 if
+    None).
 
     Directions are drawn, normalised and scanned one block at a time, so
     memory stays bounded whatever ``samples``.  Chunked Gaussian draws equal
@@ -390,12 +370,9 @@ def complement_measure_estimate(
     floats is margin < gamma; a margin errs by at most n 2^-53 N^(1+tau)
     (see ``_worst_margin``).
     """
-    if params.cutoff is None:
-        raise ValueError("measure estimation needs a finite cutoff")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    limit = _budget(budget)
-    scan = _MarginScan(params.dim, params.tau, params.cutoff, limit)
+    scan = _MarginScan(params.dim, params.tau, params.cutoff, _Work(budget))
     rng = np.random.default_rng(seed)
     margins = np.empty(scan.rows)
     failures = 0

@@ -168,8 +168,6 @@ def adapted_basis(alpha, params: DioParams, *, budget: int | None = None):
     n = params.dim
     if a.size != n:
         raise ValueError("alpha dimension does not match params.dim")
-    if params.cutoff is None:
-        raise ValueError("adapted_basis needs a finite cutoff")
     scale = _scale_constant(n)
     if not (params.cutoff > scale):
         raise ValueError(

@@ -23,7 +23,9 @@ the found coefficients back through U and to filter them by the gauge.
 Every point matters only up to sign, and that rule lives in the sweep: it
 visits one of each +-k, returned with its first nonzero entry positive,
 while its candidate budget counts the symmetric sweep of both signs.
-``lattice_points_in`` alone restores both signs.
+``lattice_points_in`` alone restores both signs.  Each public call charges
+its candidates to one budget record, ``_Work``, whose ``charge`` is the only
+place an exhausted budget raises ResourceLimitError.
 Far from ratio 1 (axial-to-radial extents around 1e10 and beyond) the LLL
 gives up at its multiplier and entry caps, and the sweep may then exhaust
 the candidate budget; near the double range a sweep level's interval can
@@ -109,13 +111,28 @@ def _unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def _budget(budget: int | None) -> int:
-    """The candidate budget to enforce: the default for None, else >= 1."""
-    if budget is None:
-        return DEFAULT_BUDGET
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    return budget
+class _Work:
+    """The candidate budget of one public call: its limit and the candidates
+    charged so far.  ``budget`` None gives the default, and one below 1 is a
+    ValueError.  ``charge`` is the only place an exhausted budget raises."""
+
+    __slots__ = ("limit", "candidates")
+
+    def __init__(self, budget: int | None):
+        if budget is None:
+            budget = DEFAULT_BUDGET
+        elif budget < 1:
+            raise ValueError("budget must be >= 1")
+        self.limit = budget
+        self.candidates = 0
+
+    def charge(self, count: int) -> None:
+        """Count ``count`` more candidates; ResourceLimitError past the limit."""
+        self.candidates += count
+        if self.candidates > self.limit:
+            raise ResourceLimitError(
+                f"enumeration exceeded budget of {self.limit} candidates"
+            )
 
 
 def _as_int_matrix(rows) -> list[list[int]]:
@@ -482,7 +499,7 @@ _UNBOUNDED_SWEEP = (
 )
 
 
-def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
+def _fp_points(body, lam: float, work: _Work) -> np.ndarray:
     """One of each +-k among the nonzero integer points with gauge <= lam
     (+ absolute slack), with its first nonzero entry positive.
 
@@ -492,12 +509,12 @@ def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
     sums and the coefficient list.  It visits one of each +-m: a lead level,
     one whose higher coefficients are all 0, sweeps only m >= 0, or m >= 1
     at level 0, so the zero vector is never found.  Negation is exact, so
-    the skipped half mirrors the swept one bit for bit, and the budget
-    counts the symmetric sweep: a lead level's range once, any other
+    the skipped half mirrors the swept one bit for bit, and ``work`` is
+    charged for the symmetric sweep: a lead level's range once, any other
     level's twice.  Found coefficients go into one flat int64 array, mapped
-    back through U once.  Raises ResourceLimitError when more than
-    ``budget`` candidates would be examined, or when a level's interval has
-    no finite ends, so no finite candidate count.
+    back through U once.  Raises ResourceLimitError when the charge
+    exhausts the budget, or when a level's interval has no finite ends, so
+    no finite candidate count.
     """
     n = body.dim
     U = _lll_reduce(body)
@@ -517,6 +534,7 @@ def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
     # Sum_{i > level} R[j][i] m_i.
     above = [[R[j][level] for j in range(level)] for level in range(n)]
     partial = [[0.0] * (level + 1) for level in range(n)]
+    charge = work.charge
 
     def descend(level: int, rem: float, lead: bool):
         diag = R[level][level]
@@ -530,11 +548,7 @@ def _fp_points(body, lam: float, budget: int, counter: list) -> np.ndarray:
         hi = math.floor(high)
         if hi < lo:
             return
-        counter[0] += (hi - lo + 1) if lead else 2 * (hi - lo + 1)
-        if counter[0] > budget:
-            raise ResourceLimitError(
-                f"enumeration exceeded budget of {budget} candidates"
-            )
+        charge((hi - lo + 1) if lead else 2 * (hi - lo + 1))
         if lead:
             # center is -0.0, so lo <= 0 <= hi.
             lo = 0 if level else 1
@@ -585,7 +599,7 @@ def lattice_points_in(body, lam: float, *, budget: int | None = None):
     """
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and nonnegative")
-    pts = _fp_points(body, lam, _budget(budget), [0])
+    pts = _fp_points(body, lam, _Work(budget))
     pts = np.concatenate([pts, -pts])
     return pts[_ordered(body, pts)[0]]
 
@@ -604,8 +618,7 @@ def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
     start dilation, and is a ValueError.
     """
     n = body.dim
-    limit = _budget(budget)
-    counter = [0]
+    work = _Work(budget)
     try:
         lam = 2.0 * body.volume() ** (-1.0 / n)
     except (OverflowError, ZeroDivisionError):
@@ -616,7 +629,7 @@ def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
             "scan has no start dilation; the extents are too extreme"
         )
     for _ in range(64):
-        pts = _fp_points(body, lam, limit, counter)
+        pts = _fp_points(body, lam, work)
         cand = pts[np.gcd.reduce(pts, axis=1) == 1]
         if cand.shape[0] >= n:
             order, g = _ordered(body, cand)
@@ -684,14 +697,16 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
     """A basis of Z^n inside the (n * lambda_n)-dilation of the body.
 
     If the minima witnesses already have determinant +-1 they are returned
-    unchanged.  Otherwise candidates up to dilation n * lambda_n are scanned
-    greedily by (dilation, norm, lex); a candidate joins the partial basis
-    when the gcd of the partial matrix's maximal minors stays 1, which is
-    exactly the condition for the set to extend to a determinant +-1 basis.
-    A backtracking pass with the same pruning covers the rare greedy misses.
+    unchanged.  Otherwise the candidates up to dilation n * lambda_n, in
+    (dilation, norm, lex) order, are searched depth first; a candidate joins
+    the partial basis when the gcd of the partial matrix's maximal minors
+    stays 1, which is exactly the condition for the set to extend to a
+    determinant +-1 basis.  The first descent is the greedy pick, and
+    backtracking covers its rare misses.  The scan's candidates and the
+    search's nodes count against two budgets of the same size.
     """
     n = body.dim
-    limit = _budget(budget)
+    work = _Work(budget)
     if len(minima.witnesses) == n:
         d = det_exact(minima.witnesses)
         if abs(d) == 1:
@@ -702,7 +717,7 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
 
     bound = n * minima.lambdas[-1]
     bound += MEMBERSHIP_SLACK * (1.0 + bound)
-    pts = _fp_points(body, bound, limit, [0])
+    pts = _fp_points(body, bound, work)
     # Non-primitive vectors cannot sit in a unimodular basis.
     cand = pts[
         (np.abs(pts).max(axis=1) <= ENTRY_LIMIT)
@@ -712,28 +727,13 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
         raise InternalInvariantError("too few candidates for basis extraction")
     ordered = [tuple(row) for row in cand[_ordered(body, cand)[0]].tolist()]
 
-    def finish(cols):
-        return IntegerBasis(columns=tuple(cols), determinant=det_exact(cols))
-
-    chosen: list[tuple[int, ...]] = []
-    for vec in ordered:
-        if _minors_gcd(chosen + [vec]) == 1:
-            chosen.append(vec)
-            if len(chosen) == n:
-                return finish(chosen)
-
-    # Greedy missed; exhaustive backtracking with the same minor-gcd pruning.
-    nodes = [0]
+    nodes = _Work(work.limit)
 
     def search(start: int, cols: list) -> IntegerBasis | None:
         if len(cols) == n:
-            return finish(cols)
+            return IntegerBasis(columns=tuple(cols), determinant=det_exact(cols))
         for i in range(start, len(ordered)):
-            nodes[0] += 1
-            if nodes[0] > limit:
-                raise ResourceLimitError(
-                    "basis backtracking exceeded the candidate budget"
-                )
+            nodes.charge(1)
             if len(ordered) - i < n - len(cols):
                 return None
             vec = ordered[i]

@@ -239,7 +239,7 @@ def _canonical(k):
     return tuple(int(v) for v in k)
 
 
-def naive_check_truncated(alpha, params, *, enumeration_cutoff=None):
+def naive_check_truncated(alpha, params):
     """Membership by the pivot-column box scan over (2N+1)^(n-1) columns.
 
     The witness (k, inner, threshold) is the one the library must return
@@ -247,10 +247,9 @@ def naive_check_truncated(alpha, params, *, enumeration_cutoff=None):
     sign-canonical vector, with inner from the same pivot expression.
     """
     a = require_unit(alpha)
-    cutoff = params.cutoff if params.cutoff is not None else enumeration_cutoff
     best = None
-    cut_sq = float(cutoff) * float(cutoff)
-    for k, inner in _pivot_candidates(a, float(cutoff)):
+    cut_sq = float(params.cutoff) * float(params.cutoff)
+    for k, inner in _pivot_candidates(a, float(params.cutoff)):
         norm_sq = np.sum(k * k, axis=1).astype(float)
         valid = (norm_sq > 0) & (norm_sq <= cut_sq)
         if not np.any(valid):

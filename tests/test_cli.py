@@ -20,6 +20,22 @@ def test_cutoff_plain_prints_bare_value(capsys):
     assert out.strip() == "90"
 
 
+def test_cutoff_csv_prints_key_value_rows(capsys):
+    code, out, _ = run(capsys, "cutoff", "--n", "2", "--delta", "0.1",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["key,value", "cutoff,90"]
+
+
+@pytest.mark.parametrize("precision", ["0", "18"])
+def test_precision_out_of_range_is_usage_error(capsys, precision):
+    code, out, err = run(capsys, "cutoff", "--n", "2", "--delta", "0.1",
+                         "--precision", precision)
+    assert code == 2
+    assert out == ""
+    assert "precision must lie in [1, 17]" in err
+
+
 def test_check_pass_and_fail_exit_codes(capsys):
     code, out, _ = run(
         capsys, "check", "--alpha", "1,1", "--normalize",

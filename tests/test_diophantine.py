@@ -58,7 +58,8 @@ def test_require_unit_does_not_renormalize():
 
 
 def test_params_domain():
-    DioParams(dim=2, tau=1.0, gamma=0.3, cutoff=None)
+    with pytest.raises(ValueError):
+        DioParams(dim=2, tau=1.0, gamma=0.3, cutoff=None)
     with pytest.raises(ValueError):
         DioParams(dim=1, tau=1.0, gamma=0.3, cutoff=10.0)
     with pytest.raises(ValueError):
@@ -81,28 +82,12 @@ def test_scans_reject_non_finite_cutoffs(value):
         best_gamma(alpha, 1.0, value)
     with pytest.raises(ValueError, match="finite"):
         resonance_search(alpha, value)
-    with pytest.raises(ValueError, match="finite"):
-        check_truncated(
-            alpha, DioParams(2, 1.0, 0.1, None), enumeration_cutoff=value
-        )
 
 
 def test_check_accepts_diagonal_direction_at_order_one():
     # Only (1,0) and (0,1) have norm <= 1; both inner products are 1/sqrt(2).
     alpha = normalize([1.0, 1.0])
     assert check_truncated(alpha, DioParams(2, 1.0, 0.5, 1.0)) is None
-
-
-def test_check_needs_some_cutoff():
-    alpha = normalize([1.0, PHI])
-    with pytest.raises(ValueError):
-        check_truncated(alpha, DioParams(2, 1.0, 0.3, None))
-    assert (
-        check_truncated(
-            alpha, DioParams(2, 1.0, 0.3, None), enumeration_cutoff=5.0
-        )
-        is None
-    )
 
 
 def test_check_reports_smallest_resonance_witness():
@@ -233,7 +218,7 @@ def _least_budget(call):
 
 
 def test_check_budget_counts_all_shells_together():
-    """One counter spans the shells r = 90, 45, ..., 1.40625."""
+    """One budget record spans the shells r = 90, 45, ..., 1.40625."""
     alpha = golden_direction()
     params = DioParams(2, 1.0, 0.4, 90.0)
     total = _least_budget(lambda b: check_truncated(alpha, params, budget=b))
@@ -453,14 +438,14 @@ def test_diophantine_scan_budgets():
     ],
 )
 def test_scan_budget_is_the_sum_over_its_cylinders(monkeypatch, scan):
-    """One counter spans every cylinder a scan enumerates."""
+    """One budget record spans every cylinder a scan enumerates."""
     calls = []
     enumerate_points = dio._fp_points
 
-    def recording(body, lam, limit, counter):
-        before = counter[0]
-        pts = enumerate_points(body, lam, limit, counter)
-        calls.append((body, counter[0] - before))
+    def recording(body, lam, work):
+        before = work.candidates
+        pts = enumerate_points(body, lam, work)
+        calls.append((body, work.candidates - before))
         return pts
 
     monkeypatch.setattr(dio, "_fp_points", recording)
@@ -479,7 +464,7 @@ def test_scan_budget_is_the_sum_over_its_cylinders(monkeypatch, scan):
 def test_worst_margin_matches_box_scan_oracle(n, tau, cutoff, samples):
     raw = np.random.default_rng(n).standard_normal((samples, n))
     dirs = raw / np.linalg.norm(raw, axis=1)[:, None]
-    got = dio._worst_margin(dirs, tau, cutoff, 10**8)
+    got = dio._worst_margin(dirs, tau, cutoff)
     assert np.array_equal(got, naive_worst_margin(dirs, tau, cutoff))
 
 
@@ -500,7 +485,7 @@ def test_measure_estimate_matches_box_scan_oracle(data):
     raw = np.random.default_rng(seed).standard_normal((samples, n))
     dirs = raw / np.linalg.norm(raw, axis=1)[:, None]
     ref = naive_worst_margin(dirs, tau, cutoff)
-    got = dio._worst_margin(dirs, tau, cutoff, 10**8)
+    got = dio._worst_margin(dirs, tau, cutoff)
     assert np.all(np.abs(got - ref) <= 4 * n * 2.0**-53 * cutoff ** (1 + tau))
     fraction, _ = complement_measure_estimate(
         DioParams(n, tau, gamma, cutoff), samples, seed
@@ -519,7 +504,7 @@ def test_measure_scans_sign_canonical_primitive_k(n, cutoff, count):
         and math.gcd(*k) == 1
         and next(x for x in k if x != 0) > 0
     }
-    kt = dio._MarginScan(n, 2.0, cutoff, 10**8).kt
+    kt = dio._MarginScan(n, 2.0, cutoff, dio._Work(None)).kt
     columns = [tuple(int(x) for x in col) for col in kt.T]
     assert len(columns) == len(set(columns)) == count
     assert set(columns) == expected

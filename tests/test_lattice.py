@@ -388,7 +388,7 @@ def test_fp_points_factors_twice_without_lapack(monkeypatch):
     rng = np.random.default_rng(18)
     axis = rng.standard_normal(3)
     body = CylinderBody(axis / np.linalg.norm(axis), 12.0, 0.5)
-    pts = lattice._fp_points(body, 1.0, 10**6, [0])
+    pts = lattice._fp_points(body, 1.0, lattice._Work(10**6))
     assert len(calls) == 2
     got = {tuple(int(x) for x in p) for p in np.concatenate([pts, -pts])}
     want = {tuple(int(x) for x in p) for p in naive_lattice_points(body, 1.0)}
@@ -412,7 +412,7 @@ def test_fp_points_sweeps_one_of_each_sign_pair(n, seed, family, lam):
     else:
         extents = rng.uniform(0.4, 2.0), rng.uniform(0.4, 2.0)
     body = family(axis / np.linalg.norm(axis), *map(float, extents))
-    pts = lattice._fp_points(body, lam, 10**6, [0])
+    pts = lattice._fp_points(body, lam, lattice._Work(10**6))
     rows = [tuple(int(x) for x in p) for p in pts]
     assert all(next(x for x in p if x != 0) > 0 for p in rows)
     assert len(set(rows)) == len(rows)
@@ -439,13 +439,13 @@ def test_fp_points_counts_the_symmetric_sweep(n, seed, family, log_ratio, lam):
     body = family(axis / np.linalg.norm(axis), radial * 10.0**log_ratio, radial)
     R = lattice._r_factor(body, lattice._lll_reduce(body))
     want = naive_sweep_count(body, lam, R)
-    counter = [0]
-    lattice._fp_points(body, lam, 10**7, counter)
-    assert counter[0] == want
-    lattice._fp_points(body, lam, want, [0])
+    work = lattice._Work(10**7)
+    lattice._fp_points(body, lam, work)
+    assert work.candidates == want
+    lattice._fp_points(body, lam, lattice._Work(want))
     if want > 1:
         with pytest.raises(ResourceLimitError):
-            lattice._fp_points(body, lam, want - 1, [0])
+            lattice._fp_points(body, lam, lattice._Work(want - 1))
 
 
 def test_lll_non_finite_coefficient_gives_up():
@@ -580,6 +580,26 @@ def test_extract_zbasis_repairs_non_basis_witnesses():
     assert abs(basis.determinant) == 1
     cols = {tuple(int(x) for x in c) for c in basis.matrix().T}
     assert (1, 0) in cols or (-1, 0) in cols
+
+
+def test_extract_zbasis_backtracks_past_a_greedy_miss(monkeypatch):
+    """Greedy takes (2,3), which neither (0,1) (det 2) nor (1,0) (det -3)
+    completes; the search backs out of it and finds (0,1), (1,0).  Each
+    search node counts against the budget: five here."""
+    body = CylinderBody(normalize([2.0, 3.0]), 10.0, 1.0)
+    found = np.array([(2, 3), (0, 1), (1, 0)], dtype=np.int64)
+    monkeypatch.setattr(lattice, "_fp_points", lambda body, lam, *rest: found)
+    g = body.gauge(found.astype(float))
+    synthetic = MinimaResult(
+        lambdas=(float(g[0]), float(g[1])),
+        witnesses=((2, 3), (0, 1)),
+        scan_dilation=1.0,
+    )
+    basis = extract_zbasis(body, synthetic, budget=5)
+    assert basis.columns == ((0, 1), (1, 0))
+    assert basis.determinant == -1
+    with pytest.raises(ResourceLimitError):
+        extract_zbasis(body, synthetic, budget=4)
 
 
 def test_extract_zbasis_from_minima(rng):
