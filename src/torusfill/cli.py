@@ -4,18 +4,23 @@ Exit codes: 0 success (and checks that pass), 1 mathematical failure (a
 violation witness, an out-of-range duality product, a fill that did not
 complete), 2 usage error, 3 resource budget exceeded.  Reports render as
 plain text, JSON (stable byte-for-byte for fixed inputs and seed), or CSV
-for tabular sweeps.  The enumeration budget defaults to the
-TORUSFILL_BUDGET environment variable when set.
+for tabular sweeps.  A vector entry that is not a number, or a fraction
+with a zero denominator or beyond the double range, is a usage error.
+``--budget`` (default: the TORUSFILL_BUDGET environment variable when set)
+bounds the candidates of the whole command, over all of its stages.
+
+Each subparser carries its handler; a handler takes the parsed namespace
+and returns (params, result, exit code).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -50,27 +55,9 @@ from .simulator import (
     resonant_demo_parameters,
 )
 
-__all__ = ["RunConfig", "run_command", "main"]
+__all__ = ["run_command", "main"]
 
 _ENV_BUDGET = "TORUSFILL_BUDGET"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Report rendering and resource options shared by all subcommands."""
-
-    precision: int = 12
-    seed: int = 0
-    budget: int = DEFAULT_BUDGET
-    output_format: str = "plain"
-
-    def __post_init__(self):
-        if not (1 <= self.precision <= 17):
-            raise ValueError("precision must lie in [1, 17]")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.output_format not in ("plain", "json", "csv"):
-            raise ValueError("format must be plain, json or csv")
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -79,16 +66,16 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ValueError("vectors need at least two comma-separated entries")
     vals = []
     for p in parts:
-        if "/" in p:
-            vals.append(float(Fraction(p)))
-        else:
-            vals.append(float(p))
+        try:
+            vals.append(float(Fraction(p)) if "/" in p else float(p))
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"vector entry {p} has no finite double value") from None
     return np.array(vals)
 
 
 def _alpha_from(ns) -> np.ndarray:
     vec = _parse_vector(ns.alpha)
-    return normalize(vec) if getattr(ns, "normalize", False) else vec
+    return normalize(vec) if ns.normalize else vec
 
 
 def _round(x: float, precision: int) -> float:
@@ -126,21 +113,26 @@ def _flat_text(value) -> str:
     return str(value)
 
 
-def _render(command: str, params: dict, result: dict, config: RunConfig) -> str:
-    params = _ready(params, config.precision)
-    result = _ready(result, config.precision)
-    if config.output_format == "json":
+def _is_table(value) -> bool:
+    """Whether a report value is a list of rows (dicts) to print as a table."""
+    return isinstance(value, list) and bool(value) and isinstance(value[0], dict)
+
+
+def _render(ns, params: dict, result: dict) -> str:
+    params = _ready(params, ns.precision)
+    result = _ready(result, ns.precision)
+    if ns.format == "json":
         report = {
-            "command": command,
+            "command": ns.command,
             "params": params,
             "result": result,
-            "diagnostics": {"budget": config.budget, "seed": config.seed},
+            "diagnostics": {"budget": ns.budget, "seed": ns.seed},
             "version": __version__,
         }
         return json.dumps(report, sort_keys=True)
-    if config.output_format == "csv":
+    if ns.format == "csv":
         rows = result.get("runs")
-        if isinstance(rows, list) and rows and isinstance(rows[0], dict):
+        if _is_table(rows):
             keys = list(rows[0].keys())
             lines = [",".join(keys)]
             for row in rows:
@@ -151,40 +143,29 @@ def _render(command: str, params: dict, result: dict, config: RunConfig) -> str:
             lines.append(f"{k},{_flat_text(v)}")
         return "\n".join(lines)
     # plain: a bare value for single scalar results, key: value lines otherwise
-    def row_lines(key, rows):
-        out = [f"{key}:"]
-        for row in rows:
-            inner = ", ".join(f"{kk}={_flat_text(vv)}" for kk, vv in row.items())
-            out.append(f"  {inner}")
-        return out
-
-    if len(result) == 1:
-        only_key, only_val = next(iter(result.items()))
-        if isinstance(only_val, list) and only_val and isinstance(only_val[0], dict):
-            return "\n".join(row_lines(only_key, only_val))
-        return _flat_text(only_val)
     lines = []
     for k, v in result.items():
-        if isinstance(v, list) and v and isinstance(v[0], dict):
-            lines.extend(row_lines(k, v))
+        if _is_table(v):
+            lines.append(f"{k}:")
+            for row in v:
+                inner = ", ".join(f"{kk}={_flat_text(vv)}" for kk, vv in row.items())
+                lines.append(f"  {inner}")
+        elif len(result) == 1:
+            return _flat_text(v)
         else:
             lines.append(f"{k}: {_flat_text(v)}")
     return "\n".join(lines)
 
 
-def _dio_params(alpha, ns) -> DioParams:
-    return DioParams(dim=alpha.size, tau=ns.tau, gamma=ns.gamma, cutoff=ns.N)
-
-
-def _cmd_check(ns, config):
+def _cmd_check(ns):
     alpha = _alpha_from(ns)
-    params = _dio_params(alpha, ns)
-    witness = check_truncated(alpha, params, budget=config.budget)
+    params = DioParams(dim=alpha.size, tau=ns.tau, gamma=ns.gamma, cutoff=ns.N)
+    witness = check_truncated(alpha, params, budget=ns.budget)
     p = {
         "alpha": alpha,
         "tau": ns.tau,
         "gamma": ns.gamma,
-        "N": params.cutoff,
+        "N": ns.N,
     }
     if witness is None:
         return p, {"status": "pass"}, 0
@@ -200,17 +181,17 @@ def _cmd_check(ns, config):
     )
 
 
-def _cmd_gamma(ns, config):
+def _cmd_gamma(ns):
     alpha = _alpha_from(ns)
-    value, argmin = best_gamma(alpha, ns.tau, ns.N, budget=config.budget)
+    value, argmin = best_gamma(alpha, ns.tau, ns.N, budget=ns.budget)
     p = {"alpha": alpha, "tau": ns.tau, "N": ns.N}
     return p, {"gamma_max": value, "argmin_k": list(argmin)}, 0
 
 
-def _cmd_resonances(ns, config):
+def _cmd_resonances(ns):
     alpha = _alpha_from(ns)
     reports = resonance_search(
-        alpha, ns.max_order, ns.tol, budget=config.budget
+        alpha, ns.max_order, ns.tol, budget=ns.budget
     )
     p = {"alpha": alpha, "max_order": ns.max_order, "tol": ns.tol}
     return (
@@ -226,12 +207,12 @@ def _cmd_resonances(ns, config):
     )
 
 
-def _cmd_cutoff(ns, config):
+def _cmd_cutoff(ns):
     value = critical_cutoff(ns.n, ns.delta)
     return {"n": ns.n, "delta": ns.delta}, {"cutoff": value}, 0
 
 
-def _cmd_bound(ns, config):
+def _cmd_bound(ns):
     constant = bound_constant(ns.n, ns.tau)
     result = {"constant": constant}
     p = {"n": ns.n, "tau": ns.tau}
@@ -241,29 +222,26 @@ def _cmd_bound(ns, config):
     return p, result, 0
 
 
-def _basis_payload(basis) -> dict:
-    return {
+def _cmd_basis(ns):
+    alpha = _alpha_from(ns)
+    params = DioParams(dim=alpha.size, tau=ns.tau, gamma=ns.gamma, cutoff=ns.N)
+    basis = adapted_basis(alpha, params, budget=ns.budget)
+    p = {"alpha": alpha, "tau": ns.tau, "gamma": ns.gamma, "N": ns.N}
+    result = {
         "multipliers": basis.multipliers,
         "directions": basis.directions,
         "integer_basis": [list(c) for c in basis.integer_basis.columns],
         "determinant": basis.integer_basis.determinant,
         "minima": list(basis.minima.lambdas),
     }
+    return p, result, 0
 
 
-def _cmd_basis(ns, config):
-    alpha = _alpha_from(ns)
-    params = _dio_params(alpha, ns)
-    basis = adapted_basis(alpha, params, budget=config.budget)
-    p = {"alpha": alpha, "tau": ns.tau, "gamma": ns.gamma, "N": params.cutoff}
-    return p, _basis_payload(basis), 0
-
-
-def _cmd_hit(ns, config):
+def _cmd_hit(ns):
     alpha = _alpha_from(ns)
     cutoff = ns.N if ns.N is not None else critical_cutoff(alpha.size, ns.delta)
     params = DioParams(dim=alpha.size, tau=ns.tau, gamma=ns.gamma, cutoff=cutoff)
-    basis = adapted_basis(alpha, params, budget=config.budget)
+    basis = adapted_basis(alpha, params, budget=ns.budget)
     theta = _parse_vector(ns.theta)
     cert = hitting_time(basis, theta, ns.delta)
     p = {
@@ -284,7 +262,7 @@ def _cmd_hit(ns, config):
     return p, result, 0 if cert.endpoint_distance < ns.delta else 1
 
 
-def _cmd_fill(ns, config):
+def _cmd_fill(ns):
     alpha = _alpha_from(ns)
     theta0 = (
         _parse_vector(ns.theta0)
@@ -325,13 +303,13 @@ def _cmd_fill(ns, config):
     return p, {"runs": runs}, 0 if all_filled else 1
 
 
-def _cmd_duality(ns, config):
+def _cmd_duality(ns):
     axis = _parse_vector(ns.axis)
-    if getattr(ns, "normalize", False):
+    if ns.normalize:
         axis = normalize(axis)
     family = CylinderBody if ns.family == "cylinder" else DiamondBody
     body = family(axis, ns.axial, ns.radial)
-    products = duality_check(body, budget=config.budget)
+    products = duality_check(body, budget=ns.budget)
     n = body.dim
     ok = bool(
         np.all(products >= 1.0 - 1e-9)
@@ -350,10 +328,10 @@ def _cmd_duality(ns, config):
     )
 
 
-def _cmd_measure(ns, config):
+def _cmd_measure(ns):
     params = DioParams(dim=ns.n, tau=ns.tau, gamma=ns.gamma, cutoff=ns.N)
     fraction, stderr = complement_measure_estimate(
-        params, ns.samples, config.seed, budget=config.budget
+        params, ns.samples, ns.seed, budget=ns.budget
     )
     p = {
         "n": ns.n,
@@ -361,12 +339,12 @@ def _cmd_measure(ns, config):
         "gamma": ns.gamma,
         "N": ns.N,
         "samples": ns.samples,
-        "seed": config.seed,
+        "seed": ns.seed,
     }
     return p, {"fraction": fraction, "stderr": stderr}, 0
 
 
-def _cmd_demo_resonant(ns, config):
+def _cmd_demo_resonant(ns):
     qs = [int(s) for s in str(ns.q).split(",") if s.strip()]
     runs = []
     all_ok = True
@@ -399,22 +377,9 @@ def _cmd_demo_resonant(ns, config):
     return p, {"runs": runs}, 0 if all_ok else 1
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "gamma": _cmd_gamma,
-    "resonances": _cmd_resonances,
-    "cutoff": _cmd_cutoff,
-    "bound": _cmd_bound,
-    "basis": _cmd_basis,
-    "hit": _cmd_hit,
-    "fill": _cmd_fill,
-    "duality": _cmd_duality,
-    "measure": _cmd_measure,
-    "demo-resonant": _cmd_demo_resonant,
-}
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls."""
     # The report options are accepted both before and after the subcommand;
     # SUPPRESS keeps the subparser from clobbering a value given up front.
     common = argparse.ArgumentParser(add_help=False)
@@ -431,11 +396,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    class _Sub:
-        def add_parser(self, name, **kwargs):
-            return subparsers.add_parser(name, parents=[common], **kwargs)
-
-    sub = _Sub()
+    def add_command(name, run, summary):
+        sp = subparsers.add_parser(name, parents=[common], help=summary)
+        sp.set_defaults(run=run)
+        return sp
 
     def add_alpha(sp):
         sp.add_argument("--alpha", required=True,
@@ -443,39 +407,40 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--normalize", action="store_true",
                         help="normalize the vector instead of requiring unit input")
 
-    sp = sub.add_parser("check", help="decide truncated Diophantine membership")
+    sp = add_command("check", _cmd_check, "decide truncated Diophantine membership")
     add_alpha(sp)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--N", type=float, required=True)
 
-    sp = sub.add_parser("gamma", help="largest admissible gamma for a direction")
+    sp = add_command("gamma", _cmd_gamma, "largest admissible gamma for a direction")
     add_alpha(sp)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--N", type=float, required=True)
 
-    sp = sub.add_parser("resonances", help="primitive near-orthogonal integer vectors")
+    sp = add_command("resonances", _cmd_resonances,
+                     "primitive near-orthogonal integer vectors")
     add_alpha(sp)
     sp.add_argument("--max-order", dest="max_order", type=float, required=True)
     sp.add_argument("--tol", type=float, default=0.0)
 
-    sp = sub.add_parser("cutoff", help="critical cutoff (1 + n^2 n!)/delta")
+    sp = add_command("cutoff", _cmd_cutoff, "critical cutoff (1 + n^2 n!)/delta")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--delta", type=float, required=True)
 
-    sp = sub.add_parser("bound", help="bound constant and filling-time bound")
+    sp = add_command("bound", _cmd_bound, "bound constant and filling-time bound")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--delta", type=float, default=None)
 
-    sp = sub.add_parser("basis", help="direction-adapted unimodular basis")
+    sp = add_command("basis", _cmd_basis, "direction-adapted unimodular basis")
     add_alpha(sp)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--N", type=float, required=True)
 
-    sp = sub.add_parser("hit", help="orbit time reaching a delta-ball around theta")
+    sp = add_command("hit", _cmd_hit, "orbit time reaching a delta-ball around theta")
     add_alpha(sp)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--gamma", type=float, required=True)
@@ -484,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", required=True)
     sp.add_argument("--delta", type=float, required=True)
 
-    sp = sub.add_parser("fill", help="empirical fill time by orbit simulation")
+    sp = add_command("fill", _cmd_fill, "empirical fill time by orbit simulation")
     add_alpha(sp)
     sp.add_argument("--theta0", default=None)
     sp.add_argument("--delta", required=True,
@@ -493,21 +458,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-time", dest="max_time", type=float, required=True)
     sp.add_argument("--grid-side", dest="grid_side", type=float, default=None)
 
-    sp = sub.add_parser("duality", help="transference products for a body")
+    sp = add_command("duality", _cmd_duality, "transference products for a body")
     sp.add_argument("--axis", required=True)
     sp.add_argument("--normalize", action="store_true")
     sp.add_argument("--axial", type=float, required=True)
     sp.add_argument("--radial", type=float, required=True)
     sp.add_argument("--family", choices=["cylinder", "diamond"], default="cylinder")
 
-    sp = sub.add_parser("measure", help="Monte Carlo complement measure estimate")
+    sp = add_command("measure", _cmd_measure, "Monte Carlo complement measure estimate")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--N", type=float, required=True)
     sp.add_argument("--samples", type=int, default=10000)
 
-    sp = sub.add_parser("demo-resonant", help="closed-orbit reference fill times")
+    sp = add_command("demo-resonant", _cmd_demo_resonant,
+                     "closed-orbit reference fill times")
     sp.add_argument("--q", required=True, help="integer slope, or comma list")
     sp.add_argument("--simulate", action="store_true")
 
@@ -516,23 +482,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv) -> int:
     """Parse argv, run one subcommand, print its report, return exit code."""
-    parser = _build_parser()
+    # The report options' defaults live in a fresh namespace per call, not on
+    # the parsers' actions: every subparser shares those, so a default there
+    # would overwrite a value given before the subcommand.
+    ns = argparse.Namespace(format="plain", precision=12, seed=0, budget=None)
     try:
-        ns = parser.parse_args(list(argv))
+        _build_parser().parse_args(list(argv), ns)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
-        budget = getattr(ns, "budget", None)
-        if budget is None:
+        if ns.budget is None:
             env = os.environ.get(_ENV_BUDGET)
-            budget = int(env) if env else DEFAULT_BUDGET
-        config = RunConfig(
-            precision=getattr(ns, "precision", 12),
-            seed=getattr(ns, "seed", 0),
-            budget=budget,
-            output_format=getattr(ns, "format", "plain"),
-        )
-        params, result, code = _HANDLERS[ns.command](ns, config)
+            ns.budget = int(env) if env else DEFAULT_BUDGET
+        if not (1 <= ns.precision <= 17):
+            raise ValueError("precision must lie in [1, 17]")
+        if ns.budget < 1:
+            raise ValueError("budget must be >= 1")
+        params, result, code = ns.run(ns)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
@@ -545,7 +511,7 @@ def run_command(argv) -> int:
     except (ValueError, TypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    print(_render(ns.command, params, result, config))
+    print(_render(ns, params, result))
     return code
 
 

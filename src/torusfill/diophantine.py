@@ -16,7 +16,8 @@ times max(r/2, 1)^(-tau); ``resonance_search`` uses one cylinder.  The
 Monte Carlo estimate of the measure of the complement scans the
 sign-canonical primitive k of the ball ||k|| <= N, which decide every
 direction's worst margin, in cache-sized blocks of directions.  Each call
-charges every candidate it examines to one budget record, ``lattice._Work``.
+charges every candidate it examines to one budget record, ``lattice._Work``:
+its own, or the one ``adapted_basis`` passes on.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def check_truncated(alpha, params: DioParams, *, budget=None):
     a = require_unit(alpha)
     if a.size != params.dim:
         raise ValueError("alpha dimension does not match params.dim")
-    work = _Work(budget)
+    work = _Work.of(budget)
     pivot = int(np.argmax(np.abs(a)))
     rest_axes = [j for j in range(a.size) if j != pivot]
     a_p = float(a[pivot])
@@ -215,7 +216,7 @@ def best_gamma(alpha, tau: float, cutoff: float, *, budget=None):
         raise ValueError("best_gamma needs a finite cutoff >= 1")
     if not (0.0 <= tau < math.inf):
         raise ValueError("tau must be finite and >= 0")
-    work = _Work(budget)
+    work = _Work.of(budget)
     g = float(np.min(np.abs(a)))  # the product at a unit vector
     best = None
     for lower_sq, r in _shells(cutoff):
@@ -251,7 +252,7 @@ def resonance_search(alpha, max_order: float, tol: float = 0.0, *, budget=None):
         raise ValueError("max_order must be finite")
     if not (0.0 <= tol < math.inf):
         raise ValueError("tol must be finite and >= 0")
-    work = _Work(budget)
+    work = _Work.of(budget)
     if max_order < 1:
         return []
     top = float(max_order)
@@ -295,7 +296,9 @@ class _MarginScan:
 
     def __init__(self, n: int, tau: float, cutoff: float, work: _Work):
         side = 2 * int(math.floor(cutoff)) + 1
-        work.charge(side**n)
+        # side >= 3, so side^n > 2^n exceeds the limit once n reaches its bit
+        # length; past that the charge skips the power, huge for a large n.
+        work.charge(side**n if n < work.limit.bit_length() else work.limit + 1)
         k = np.indices((side,) * n).reshape(n, -1).T - side // 2
         norm_sq = np.sum(k * k, axis=1)
         first = k[np.arange(k.shape[0]), np.argmax(k != 0, axis=1)]
@@ -372,7 +375,7 @@ def complement_measure_estimate(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    scan = _MarginScan(params.dim, params.tau, params.cutoff, _Work(budget))
+    scan = _MarginScan(params.dim, params.tau, params.cutoff, _Work.of(budget))
     rng = np.random.default_rng(seed)
     margins = np.empty(scan.rows)
     failures = 0

@@ -23,6 +23,7 @@ from .lattice import (
     IntegerBasis,
     InternalInvariantError,
     MinimaResult,
+    _Work,
     coreciprocal_body,
     det_exact,
     extract_zbasis,
@@ -57,8 +58,12 @@ class DiophantineRejection(ValueError):
         )
 
 
-def _scale_constant(n: int) -> int:
+def _scale_constant(n: int) -> int | float:
     # 1 + n^2 n!: the cutoff and bound constants below are powers of it.
+    # From n = 169 on it exceeds every double (1.2e309 at n = 169); it is
+    # inf there, which spares the cost of n! for a huge n.
+    if n >= 169:
+        return math.inf
     return 1 + n * n * math.factorial(n)
 
 
@@ -79,11 +84,7 @@ def critical_cutoff(n: int, delta: float) -> float:
         raise ValueError("n must be an integer >= 2")
     if not (0.0 < delta < 0.5):
         raise ValueError("delta must lie in the open interval (0, 1/2)")
-    try:
-        value = _scale_constant(n) / delta
-    except OverflowError:  # 1 + n^2 n! is beyond the double range
-        value = math.inf
-    return _finite_positive(value, "critical cutoff")
+    return _finite_positive(_scale_constant(n) / delta, "critical cutoff")
 
 
 def bound_constant(n: int, tau: float) -> float:
@@ -162,7 +163,8 @@ def adapted_basis(alpha, params: DioParams, *, budget: int | None = None):
     with axial half-extent N^tau / gamma and radius 1 / (N - 1); a
     recomputed-from-scratch exclusion check and exact determinant checks
     guard every guaranteed inequality, raising InternalInvariantError on
-    any mismatch.
+    any mismatch.  All stages charge their candidates to one record of
+    ``budget`` (1e8 if None).
     """
     a = require_unit(alpha)
     n = params.dim
@@ -173,7 +175,8 @@ def adapted_basis(alpha, params: DioParams, *, budget: int | None = None):
         raise ValueError(
             f"cutoff must exceed 1 + n^2 n! = {scale} for this construction"
         )
-    witness = check_truncated(a, params, budget=budget)
+    work = _Work.of(budget)
+    witness = check_truncated(a, params, budget=work)
     if witness is not None:
         raise DiophantineRejection(witness)
 
@@ -184,19 +187,19 @@ def adapted_basis(alpha, params: DioParams, *, budget: int | None = None):
 
     # Independent restatement of the membership check: the reciprocal-extent
     # cylinder must contain no nonzero integer point.
-    blockers = lattice_points_in(coreciprocal_body(tube), 1.0, budget=budget)
+    blockers = lattice_points_in(coreciprocal_body(tube), 1.0, budget=work)
     if blockers.shape[0] != 0:
         raise InternalInvariantError(
             "membership passed but the reciprocal cylinder contains "
             f"integer points, e.g. {tuple(int(x) for x in blockers[0])}"
         )
 
-    minima = successive_minima(tube, budget=budget)
+    minima = successive_minima(tube, budget=work)
     if not (minima.lambdas[-1] < math.factorial(n)):
         raise InternalInvariantError(
             "n-th minimum reached n! despite the exclusion certificate"
         )
-    basis = extract_zbasis(tube, minima, budget=budget)
+    basis = extract_zbasis(tube, minima, budget=work)
 
     cols = np.array(basis.columns, dtype=np.int64)  # row j = w_j
     x = cols.astype(float) @ a

@@ -24,8 +24,9 @@ Every point matters only up to sign, and that rule lives in the sweep: it
 visits one of each +-k, returned with its first nonzero entry positive,
 while its candidate budget counts the symmetric sweep of both signs.
 ``lattice_points_in`` alone restores both signs.  Each public call charges
-its candidates to one budget record, ``_Work``, whose ``charge`` is the only
-place an exhausted budget raises ResourceLimitError.
+its candidates to one budget record, ``_Work``, and passes that record on to
+the public calls it makes; the record's ``charge`` is the only place an
+exhausted budget raises ResourceLimitError.
 Far from ratio 1 (axial-to-radial extents around 1e10 and beyond) the LLL
 gives up at its multiplier and entry caps, and the sweep may then exhaust
 the candidate budget; near the double range a sweep level's interval can
@@ -112,9 +113,10 @@ def _unit_ball_volume(d: int) -> float:
 
 
 class _Work:
-    """The candidate budget of one public call: its limit and the candidates
-    charged so far.  ``budget`` None gives the default, and one below 1 is a
-    ValueError.  ``charge`` is the only place an exhausted budget raises."""
+    """The candidate budget of one public call, shared with the public calls
+    it makes: its limit and the candidates charged so far.  ``budget`` None
+    gives the default, and one below 1 is a ValueError.  ``charge`` is the
+    only place an exhausted budget raises."""
 
     __slots__ = ("limit", "candidates")
 
@@ -125,6 +127,12 @@ class _Work:
             raise ValueError("budget must be >= 1")
         self.limit = budget
         self.candidates = 0
+
+    @classmethod
+    def of(cls, budget: int | None | _Work) -> _Work:
+        """``budget`` itself when a calling public function passed its record
+        on; a new record from the ``budget`` argument otherwise."""
+        return budget if isinstance(budget, cls) else cls(budget)
 
     def charge(self, count: int) -> None:
         """Count ``count`` more candidates; ResourceLimitError past the limit."""
@@ -599,7 +607,7 @@ def lattice_points_in(body, lam: float, *, budget: int | None = None):
     """
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and nonnegative")
-    pts = _fp_points(body, lam, _Work(budget))
+    pts = _fp_points(body, lam, _Work.of(budget))
     pts = np.concatenate([pts, -pts])
     return pts[_ordered(body, pts)[0]]
 
@@ -618,7 +626,7 @@ def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
     start dilation, and is a ValueError.
     """
     n = body.dim
-    work = _Work(budget)
+    work = _Work.of(budget)
     try:
         lam = 2.0 * body.volume() ** (-1.0 / n)
     except (OverflowError, ZeroDivisionError):
@@ -680,10 +688,12 @@ def coreciprocal_body(body: CylinderBody) -> CylinderBody:
 def duality_check(body, *, budget: int | None = None) -> np.ndarray:
     """Products lambda_k(polar) * lambda_{n+1-k}(body) for k = 1..n.
 
-    Transference bounds put every product in [1, n!].
+    Transference bounds put every product in [1, n!].  Both minima scans
+    count against one budget.
     """
-    mins = successive_minima(body, budget=budget)
-    polar_mins = successive_minima(polar_body(body), budget=budget)
+    work = _Work.of(budget)
+    mins = successive_minima(body, budget=work)
+    polar_mins = successive_minima(polar_body(body), budget=work)
     n = body.dim
     return np.array(
         [
@@ -703,10 +713,10 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
     stays 1, which is exactly the condition for the set to extend to a
     determinant +-1 basis.  The first descent is the greedy pick, and
     backtracking covers its rare misses.  The scan's candidates and the
-    search's nodes count against two budgets of the same size.
+    search's nodes count against one budget.
     """
     n = body.dim
-    work = _Work(budget)
+    work = _Work.of(budget)
     if len(minima.witnesses) == n:
         d = det_exact(minima.witnesses)
         if abs(d) == 1:
@@ -727,13 +737,11 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
         raise InternalInvariantError("too few candidates for basis extraction")
     ordered = [tuple(row) for row in cand[_ordered(body, cand)[0]].tolist()]
 
-    nodes = _Work(work.limit)
-
     def search(start: int, cols: list) -> IntegerBasis | None:
         if len(cols) == n:
             return IntegerBasis(columns=tuple(cols), determinant=det_exact(cols))
         for i in range(start, len(ordered)):
-            nodes.charge(1)
+            work.charge(1)
             if len(ordered) - i < n - len(cols):
                 return None
             vec = ordered[i]

@@ -146,6 +146,31 @@ def test_bound_overflow_is_usage_error(capsys, argv, message):
     assert message in err
 
 
+def test_huge_dimension_is_refused_without_its_factorial(capsys, monkeypatch):
+    # 1 + n^2 n! exceeds every double from n = 169 on, and side^n exceeds
+    # any budget once n reaches the budget's bit length; neither is computed.
+    factorial = math.factorial
+
+    def small_factorial(n):
+        assert n <= 170, f"factorial({n}) computed"
+        return factorial(n)
+
+    monkeypatch.setattr(math, "factorial", small_factorial)
+    code, out, err = run(capsys, "cutoff", "--n", "1000000", "--delta", "0.1")
+    assert (code, out) == (2, "")
+    assert err == "usage error: critical cutoff is not a finite positive double\n"
+    code, out, err = run(capsys, "bound", "--n", "1000000", "--tau", "1e7",
+                         "--gamma", "0.5", "--delta", "0.1")
+    assert (code, out) == (2, "")
+    assert err == "usage error: bound constant is not a finite positive double\n"
+    code, out, err = run(capsys, "measure", "--n", "10000000", "--tau", "1e7",
+                         "--gamma", "0.5", "--N", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource limit: enumeration exceeded budget of 100000000 candidates\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -183,6 +208,27 @@ def test_malformed_vector_is_usage_error(capsys):
     )
     assert code == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("entry", ["1/0", "1" + "0" * 400 + "/1"],
+                         ids=["zero-denominator", "beyond-double"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--alpha", "{},1", "--tau", "1", "--gamma", "0.1", "--N", "2"),
+        ("hit", "--alpha", GOLDEN, "--normalize", "--tau", "1", "--gamma", "0.4",
+         "--theta", "{},0.5", "--delta", "0.1"),
+        ("fill", "--alpha", GOLDEN, "--normalize", "--delta", "0.2",
+         "--max-time", "1", "--theta0", "{},0"),
+        ("duality", "--axis", "{},1", "--axial", "3", "--radial", "0.4"),
+    ],
+)
+def test_fraction_without_double_value_is_usage_error(capsys, argv, entry):
+    # A zero denominator and a quotient beyond the double range.
+    code, out, err = run(capsys, *(a.replace("{}", entry) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
 
 
 def test_non_unit_alpha_without_normalize_is_usage_error(capsys):
@@ -480,3 +526,219 @@ def test_demo_resonant_simulated_measurement(capsys):
     (row,) = doc["result"]["runs"]
     assert row["within_tolerance"] is True
     assert abs(row["measured_time"] - row["expected_time"]) <= row["tolerance"]
+
+
+# Literal reports of one input per subcommand in every format, at a
+# precision whose printed digits do not depend on BLAS rounding.
+REPORTS = {
+    "check": (
+        ["check", "--alpha", "3/5,4/5", "--tau", "1", "--gamma", "0.01", "--N",
+         "2"],
+        {
+            "plain": "pass\n",
+            "json": (
+                '{"command": "check", "diagnostics": {"budget": 100000000,'
+                ' "seed": 0}, "params": {"N": 2.0, "alpha": [0.6, 0.8],'
+                ' "gamma": 0.01, "tau": 1.0}, "result": {"status": "pass"},'
+                ' "version": "0.1.0"}\n'
+            ),
+            "csv": "key,value\nstatus,pass\n",
+        },
+    ),
+    "gamma": (
+        ["gamma", "--alpha", GOLDEN, "--normalize", "--tau", "1", "--N", "90",
+         "--precision", "6"],
+        {
+            "plain": "gamma_max: 0.447214\nargmin_k: [55, -34]\n",
+            "json": (
+                '{"command": "gamma", "diagnostics": {"budget": 100000000,'
+                ' "seed": 0}, "params": {"N": 90.0, "alpha": [0.525731,'
+                ' 0.850651], "tau": 1.0}, "result": {"argmin_k": [55, -34],'
+                ' "gamma_max": 0.447214}, "version": "0.1.0"}\n'
+            ),
+            "csv": "key,value\ngamma_max,0.447214\nargmin_k,[55, -34]\n",
+        },
+    ),
+    "resonances": (
+        ["resonances", "--alpha", "1,0", "--max-order", "3"],
+        {
+            "plain": "count: 1\nresonances:\n  k=[0, 1], order=1, residual=0\n",
+            "json": (
+                '{"command": "resonances", "diagnostics": {"budget": 100000000,'
+                ' "seed": 0}, "params": {"alpha": [1.0, 0.0], "max_order": 3.0,'
+                ' "tol": 0.0}, "result": {"count": 1, "resonances": [{"k": [0,'
+                ' 1], "order": 1.0, "residual": 0.0}]}, "version": "0.1.0"}\n'
+            ),
+            "csv": (
+                "key,value\ncount,1\nresonances,[{'k': [0, 1], 'order': 1.0,"
+                " 'residual': 0.0}]\n"
+            ),
+        },
+    ),
+    "cutoff": (
+        ["cutoff", "--n", "2", "--delta", "0.1"],
+        {
+            "plain": "90\n",
+            "json": (
+                '{"command": "cutoff", "diagnostics": {"budget": 100000000,'
+                ' "seed": 0}, "params": {"delta": 0.1, "n": 2},'
+                ' "result": {"cutoff": 90.0}, "version": "0.1.0"}\n'
+            ),
+            "csv": "key,value\ncutoff,90\n",
+        },
+    ),
+    "bound": (
+        ["bound", "--n", "2", "--tau", "1", "--gamma", "0.4", "--delta", "0.1"],
+        {
+            "plain": "constant: 81\ntime_bound: 2025\n",
+            "json": (
+                '{"command": "bound", "diagnostics": {"budget": 100000000,'
+                ' "seed": 0}, "params": {"delta": 0.1, "gamma": 0.4, "n": 2,'
+                ' "tau": 1.0}, "result": {"constant": 81.0,'
+                ' "time_bound": 2025.0}, "version": "0.1.0"}\n'
+            ),
+            "csv": "key,value\nconstant,81\ntime_bound,2025\n",
+        },
+    ),
+    "basis": (
+        ["basis", "--alpha", GOLDEN, "--normalize", "--tau", "1", "--gamma", "0.4",
+         "--N", "90", "--precision", "6"],
+        {
+            "plain": (
+                "multipliers: [104.623, 64.6607]\ndirections: [[0.525696,"
+                " 0.850672], [0.525822, 0.850595]]\ninteger_basis: [[55, 89],"
+                " [34, 55]]\ndeterminant: -1\nminima: [0.464992, 0.615552]\n"
+            ),
+            "json": (
+                '{"command": "basis", "diagnostics": {"budget": 100000000,'
+                ' "seed": 0}, "params": {"N": 90.0, "alpha": [0.525731,'
+                ' 0.850651], "gamma": 0.4, "tau": 1.0},'
+                ' "result": {"determinant": -1, "directions": [[0.525696,'
+                ' 0.850672], [0.525822, 0.850595]], "integer_basis": [[55, 89],'
+                ' [34, 55]], "minima": [0.464992, 0.615552],'
+                ' "multipliers": [104.623, 64.6607]}, "version": "0.1.0"}\n'
+            ),
+            "csv": (
+                "key,value\nmultipliers,[104.623, 64.6607]\n"
+                "directions,[[0.525696, 0.850672], [0.525822, 0.850595]]\n"
+                "integer_basis,[[55, 89], [34, 55]]\ndeterminant,-1\n"
+                "minima,[0.464992, 0.615552]\n"
+            ),
+        },
+    ),
+    "hit": (
+        ["hit", "--alpha", GOLDEN, "--normalize", "--tau", "1", "--gamma", "0.4",
+         "--theta", "0.3,0.7", "--delta", "0.1", "--precision", "6"],
+        {
+            "plain": (
+                "time: 44.3191\nendpoint_distance: 0.000100908\ncoords: [0.3,"
+                " 0.2]\nbound: 2025\nwithin_delta: true\n"
+            ),
+            "json": (
+                '{"command": "hit", "diagnostics": {"budget": 100000000,'
+                ' "seed": 0}, "params": {"N": 90.0, "alpha": [0.525731,'
+                ' 0.850651], "delta": 0.1, "gamma": 0.4, "tau": 1.0,'
+                ' "theta": [0.3, 0.7]}, "result": {"bound": 2025.0,'
+                ' "coords": [0.3, 0.2], "endpoint_distance": 0.000100908,'
+                ' "time": 44.3191, "within_delta": true}, "version": "0.1.0"}\n'
+            ),
+            "csv": (
+                "key,value\ntime,44.3191\nendpoint_distance,0.000100908\n"
+                "coords,[0.3, 0.2]\nbound,2025\nwithin_delta,true\n"
+            ),
+        },
+    ),
+    "fill": (
+        ["fill", "--alpha", GOLDEN, "--normalize", "--delta", "0.2,0.15",
+         "--max-time", "50", "--precision", "6"],
+        {
+            "plain": (
+                "runs:\n  delta=0.2, dt=0.02, fill_time=5.46, uncovered_cells=0,"
+                " filled=true\n  delta=0.15, dt=0.015, fill_time=5.64,"
+                " uncovered_cells=0, filled=true\n"
+            ),
+            "json": (
+                '{"command": "fill", "diagnostics": {"budget": 100000000,'
+                ' "seed": 0}, "params": {"alpha": [0.525731, 0.850651],'
+                ' "delta": [0.2, 0.15], "max_time": 50.0, "theta0": [0.0, 0.0]},'
+                ' "result": {"runs": [{"delta": 0.2, "dt": 0.02,'
+                ' "fill_time": 5.46, "filled": true, "uncovered_cells": 0},'
+                ' {"delta": 0.15, "dt": 0.015, "fill_time": 5.64, "filled": true,'
+                ' "uncovered_cells": 0}]}, "version": "0.1.0"}\n'
+            ),
+            "csv": (
+                "delta,dt,fill_time,uncovered_cells,filled\n"
+                "0.2,0.02,5.46,0,true\n0.15,0.015,5.64,0,true\n"
+            ),
+        },
+    ),
+    "duality": (
+        ["duality", "--axis", "1,0,0", "--axial", "3", "--radial", "0.4"],
+        {
+            "plain": (
+                "products: [1, 1, 1]\nlower: 1\nupper: 6\nwithin_bounds: true\n"
+            ),
+            "json": (
+                '{"command": "duality", "diagnostics": {"budget": 100000000,'
+                ' "seed": 0}, "params": {"axial": 3.0, "axis": [1.0, 0.0, 0.0],'
+                ' "family": "cylinder", "radial": 0.4}, "result": {"lower": 1.0,'
+                ' "products": [1.0, 1.0, 1.0], "upper": 6.0,'
+                ' "within_bounds": true}, "version": "0.1.0"}\n'
+            ),
+            "csv": (
+                "key,value\nproducts,[1, 1, 1]\nlower,1\nupper,6\n"
+                "within_bounds,true\n"
+            ),
+        },
+    ),
+    "measure": (
+        ["measure", "--n", "2", "--tau", "1", "--gamma", "0.2", "--N", "3",
+         "--samples", "2000", "--seed", "7"],
+        {
+            "plain": "fraction: 0.4975\nstderr: 0.0111802\n",
+            "json": (
+                '{"command": "measure", "diagnostics": {"budget": 100000000,'
+                ' "seed": 7}, "params": {"N": 3.0, "gamma": 0.2, "n": 2,'
+                ' "samples": 2000, "seed": 7, "tau": 1.0},'
+                ' "result": {"fraction": 0.4975, "stderr": 0.0111802001324},'
+                ' "version": "0.1.0"}\n'
+            ),
+            "csv": "key,value\nfraction,0.4975\nstderr,0.0111802\n",
+        },
+    ),
+    "demo-resonant": (
+        ["demo-resonant", "--q", "1,2"],
+        {
+            "plain": (
+                "runs:\n  q=1, expected_time=1.41421, delta_reference=0.353553,"
+                " dt=0.0353553, tolerance=0.0707107\n  q=2,"
+                " expected_time=2.23607, delta_reference=0.223607, dt=0.0223607,"
+                " tolerance=0.0447214\n"
+            ),
+            "json": (
+                '{"command": "demo-resonant",'
+                ' "diagnostics": {"budget": 100000000, "seed": 0},'
+                ' "params": {"q": [1, 2], "simulate": false},'
+                ' "result": {"runs": [{"delta_reference": 0.353553390593,'
+                ' "dt": 0.0353553390593, "expected_time": 1.41421356237, "q": 1,'
+                ' "tolerance": 0.0707106781187},'
+                ' {"delta_reference": 0.22360679775, "dt": 0.022360679775,'
+                ' "expected_time": 2.2360679775, "q": 2,'
+                ' "tolerance": 0.04472135955}]}, "version": "0.1.0"}\n'
+            ),
+            "csv": (
+                "q,expected_time,delta_reference,dt,tolerance\n"
+                "1,1.41421,0.353553,0.0353553,0.0707107\n"
+                "2,2.23607,0.223607,0.0223607,0.0447214\n"
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("command", list(REPORTS))
+def test_report_literal_output(capsys, command, fmt):
+    argv, reports = REPORTS[command]
+    for full in ([*argv, "--format", fmt], ["--format", fmt, *argv]):
+        assert run(capsys, *full) == (0, reports[fmt], "")

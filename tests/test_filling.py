@@ -113,8 +113,14 @@ def test_adapted_basis_requires_large_cutoff():
 
 
 def test_adapted_basis_budget():
+    """The budget bounds the whole call: the membership check (60
+    candidates), the co-reciprocal scan (2) and the minima scan (10) charge
+    one record, so the golden basis needs 72 in all."""
     with pytest.raises(ResourceLimitError):
         adapted_basis(normalize([1.0, PHI]), GOLDEN_PARAMS, budget=2)
+    with pytest.raises(ResourceLimitError):
+        adapted_basis(normalize([1.0, PHI]), GOLDEN_PARAMS, budget=71)
+    adapted_basis(normalize([1.0, PHI]), GOLDEN_PARAMS, budget=72)
     with pytest.raises(ValueError, match="budget"):
         adapted_basis(normalize([1.0, PHI]), GOLDEN_PARAMS, budget=0)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -429,10 +429,12 @@ def test_fp_points_sweeps_one_of_each_sign_pair(n, seed, family, lam):
     log_ratio=st.floats(-3.0, 3.0),
     lam=st.floats(0.5, 2.0),
 )
+@example(n=3, seed=0, family=DiamondBody, log_ratio=-3.0, lam=2.0)
 def test_fp_points_counts_the_symmetric_sweep(n, seed, family, log_ratio, lam):
     """The budget counts both signs: the one-sign sweep's candidate count is
     that of a sweep of every coefficient on the same factor, and the budget
-    it needs is exactly that count."""
+    it needs is exactly that count.  A body that needs more than the 10^7
+    record (the pinned example needs 28,276,853) must exhaust it."""
     rng = np.random.default_rng(seed)
     axis = rng.standard_normal(n)
     radial = float(10.0 ** rng.uniform(-1.0, 0.5))
@@ -440,6 +442,10 @@ def test_fp_points_counts_the_symmetric_sweep(n, seed, family, log_ratio, lam):
     R = lattice._r_factor(body, lattice._lll_reduce(body))
     want = naive_sweep_count(body, lam, R)
     work = lattice._Work(10**7)
+    if want > work.limit:
+        with pytest.raises(ResourceLimitError):
+            lattice._fp_points(body, lam, work)
+        return
     lattice._fp_points(body, lam, work)
     assert work.candidates == want
     lattice._fp_points(body, lam, lattice._Work(want))
@@ -550,6 +556,14 @@ def test_duality_products_within_transference_band(rng):
 def test_duality_axis_aligned_products_are_one():
     body = CylinderBody(np.array([1.0, 0.0, 0.0]), 3.0, 0.4)
     assert np.allclose(duality_check(body), 1.0, atol=1e-12)
+
+
+def test_duality_check_budget_bounds_both_scans():
+    """The minima scans of the body and of its polar charge one record."""
+    body = CylinderBody(normalize([1.0, 2.0, 3.0]), 5.0, 0.3)
+    with pytest.raises(ResourceLimitError):
+        duality_check(body, budget=327)
+    duality_check(body, budget=328)
 
 
 def test_integer_basis_checks_unimodularity():
