@@ -12,10 +12,11 @@ cylinder around alpha, whose integer points the lattice enumerator lists
 exactly, one of each +-k with its first nonzero entry positive.
 ``check_truncated`` and ``best_gamma`` visit the dyadic shells r = N, N/2,
 ... smallest first, with axial half-extent gamma (or the running minimum)
-times max(r/2, 1)^(-tau); ``resonance_search`` uses one cylinder.  The
-Monte Carlo estimate of the measure of the complement scans the
-sign-canonical primitive k of the ball ||k|| <= N, which decide every
-direction's worst margin, in cache-sized blocks of directions.  Each call
+times max(r/2, 1)^(-tau), and reduce each shell's cylinder starting from
+the reduced basis of the shell before; ``resonance_search`` uses one
+cylinder.  The Monte Carlo estimate of the measure of the complement
+scans the sign-canonical primitive k of the ball ||k|| <= N, which decide
+every direction's worst margin, in cache-sized blocks of directions.  Each call
 charges every candidate it examines to one budget record, ``lattice._Work``:
 its own, or the one ``adapted_basis`` passes on.
 """
@@ -31,6 +32,7 @@ from .lattice import (
     UNIT_NORM_TOL,
     CylinderBody,
     _fp_points,
+    _Frame,
     _row_dots,
     _Work,
     require_unit,
@@ -127,10 +129,16 @@ def _shells(cutoff: float):
     return list(zip([0.0] + [r * r for r in radii[:-1]], radii))
 
 
-def _shell_points(a, axial, lower_sq, r, work):
+def _shell_points(a, axial, lower_sq, r, work, start=None):
     """(k, norm_sq) of the cylinder's points with norm_sq in (lower_sq, r^2],
-    one of each +-k, sign-canonical."""
-    k = _fp_points(CylinderBody(a, axial, r), 1.0, work)
+    one of each +-k, sign-canonical.  The cylinder's frame is reduced from
+    ``start`` (the identity for None) and becomes the record's frame, so
+    that the next shell, or ``adapted_basis``, can start from its U."""
+    body = CylinderBody(a, axial, r)
+    work.frame = _Frame(body, start)
+    k = _fp_points(body, 1.0, work, work.frame)
+    if k.shape[0] == 0:
+        return k, np.empty(0)
     norm_sq = np.sum(k * k, axis=1).astype(float)
     keep = (norm_sq > lower_sq) & (norm_sq <= r * r)
     return k[keep], norm_sq[keep]
@@ -160,7 +168,8 @@ def check_truncated(alpha, params: DioParams, *, budget=None):
     (0, r].  A violation in a shell lies in
     ``CylinderBody(alpha, gamma * max(r/2, 1)^(-tau), r)``, whose integer
     points are enumerated exactly, so the first shell with a violation
-    holds the smallest-norm one.  ``inner`` is computed as
+    holds the smallest-norm one.  Each shell's reduction starts from the U
+    of the shell before.  ``inner`` is computed as
     k_p alpha_p + (rest of k) . (rest of alpha), with p the index of the
     largest |alpha_i|.  All shells charge their candidates to one record of
     ``budget`` (the default 1e8 for None); exhausting it raises
@@ -174,6 +183,7 @@ def check_truncated(alpha, params: DioParams, *, budget=None):
     rest_axes = [j for j in range(a.size) if j != pivot]
     a_p = float(a[pivot])
     a_rest = a[rest_axes]
+    start = None
     for lower_sq, r in _shells(params.cutoff):
         shortest = max(r / 2.0, 1.0)
         axial = params.gamma * shortest ** (-params.tau)
@@ -181,7 +191,10 @@ def check_truncated(alpha, params: DioParams, *, budget=None):
         # shortest, so below that the shell cannot hold one.
         if axial * (1.0 + 1e-9) <= CMP_SLACK_PER_NORM * shortest:
             continue
-        k, norm_sq = _shell_points(a, axial, lower_sq, r, work)
+        k, norm_sq = _shell_points(a, axial, lower_sq, r, work, start)
+        start = work.frame.U
+        if k.shape[0] == 0:
+            continue
         norm = np.sqrt(norm_sq)
         thr = params.gamma * norm ** (-params.tau)
         inner = k[:, pivot] * a_p + _row_dots(k[:, rest_axes], a_rest)
@@ -208,8 +221,9 @@ def best_gamma(alpha, tau: float, cutoff: float, *, budget=None):
     The shells of ``check_truncated`` are scanned smallest first, starting
     from g = min |alpha_i| (a unit vector).  A k in (r/2, r] with product
     <= g has |k.alpha| <= g max(r/2, 1)^(-tau), so it lies in that padded
-    cylinder.  ``tau`` must be finite and >= 0; all shells charge one
-    record of ``budget`` (1e8 if None).
+    cylinder, whose reduction starts from the U of the shell before.
+    ``tau`` must be finite and >= 0; all shells charge one record of
+    ``budget`` (1e8 if None).
     """
     a = require_unit(alpha)
     if cutoff is None or not (1.0 <= cutoff < math.inf):
@@ -219,9 +233,11 @@ def best_gamma(alpha, tau: float, cutoff: float, *, budget=None):
     work = _Work.of(budget)
     g = float(np.min(np.abs(a)))  # the product at a unit vector
     best = None
+    start = None
     for lower_sq, r in _shells(cutoff):
         axial = _axial_extent(g * max(r / 2.0, 1.0) ** (-tau), a.size, r)
-        kv, nv = _shell_points(a, axial, lower_sq, r, work)
+        kv, nv = _shell_points(a, axial, lower_sq, r, work, start)
+        start = work.frame.U
         if kv.shape[0] == 0:
             continue
         prod = np.abs(_row_dots(kv, a)) * nv ** (tau / 2.0)

@@ -23,6 +23,7 @@ from .lattice import (
     IntegerBasis,
     InternalInvariantError,
     MinimaResult,
+    _Frame,
     _Work,
     coreciprocal_body,
     det_exact,
@@ -164,7 +165,10 @@ def adapted_basis(alpha, params: DioParams, *, budget: int | None = None):
     recomputed-from-scratch exclusion check and exact determinant checks
     guard every guaranteed inequality, raising InternalInvariantError on
     any mismatch.  All stages charge their candidates to one record of
-    ``budget`` (1e8 if None).
+    ``budget`` (1e8 if None).  Each body is LLL-reduced once, from the
+    reduced basis of the body before: the membership shells chain shell to
+    shell, the reciprocal cylinder starts from the top shell and the tube
+    from the dual of the reciprocal cylinder's basis.
     """
     a = require_unit(alpha)
     n = params.dim
@@ -186,14 +190,22 @@ def adapted_basis(alpha, params: DioParams, *, budget: int | None = None):
     tube = CylinderBody(a, axial, radial)
 
     # Independent restatement of the membership check: the reciprocal-extent
-    # cylinder must contain no nonzero integer point.
-    blockers = lattice_points_in(coreciprocal_body(tube), 1.0, budget=work)
+    # cylinder must contain no nonzero integer point.  It is a near twin of
+    # the top shell, so its reduction starts from that shell's U.
+    top = work.frame
+    reciprocal = coreciprocal_body(tube)
+    work.frame = _Frame(reciprocal, None if top is None else top.U)
+    blockers = lattice_points_in(reciprocal, 1.0, budget=work)
     if blockers.shape[0] != 0:
         raise InternalInvariantError(
             "membership passed but the reciprocal cylinder contains "
             f"integer points, e.g. {tuple(int(x) for x in blockers[0])}"
         )
 
+    # The tube's Gram matrix is the inverse of the reciprocal cylinder's,
+    # so the dual of that reduced basis is a near-reduced start for it; the
+    # minima scan and the basis extraction share the one frame.
+    work.frame = _Frame(tube, _dual_start(work.frame.U))
     minima = successive_minima(tube, budget=work)
     if not (minima.lambdas[-1] < math.factorial(n)):
         raise InternalInvariantError(
@@ -262,6 +274,19 @@ def _exact_inverse(basis: IntegerBasis) -> tuple[tuple[int, ...], ...]:
             "basis times its integer inverse is not the identity"
         )
     return inv
+
+
+def _dual_start(U: np.ndarray) -> np.ndarray:
+    """The dual basis U^-T of U's columns, exact, with its columns reversed.
+
+    For a reduced basis of a body with Gram matrix G, this is a
+    near-reduced basis for G^-1.  The inverse is ``_exact_inverse``'s
+    integer one, whose rows are the columns of U^-T; a float inverse of a
+    matrix with entries this skewed is not reliably integral.
+    """
+    cols = tuple(tuple(c) for c in U.T.tolist())
+    inv = _exact_inverse(IntegerBasis(columns=cols, determinant=det_exact(cols)))
+    return np.array(inv[::-1], dtype=np.int64).T
 
 
 def hitting_time(basis: AdaptedBasis, theta, delta: float) -> FillingCertificate:

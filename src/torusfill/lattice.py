@@ -14,18 +14,29 @@ quadratic proxy and a Fincke-Pohst sweep over the bounding ellipsoid.  Both
 read an R factor of W = QR for the embedded basis W, in whose coordinates
 the ellipsoid is a ball.  ``_r_factor`` computes it by Householder
 reflections on Python floats, embedding each integer column with the
-roundings of ``embed``, and an enumeration factors twice.  The LLL factors
-the identity basis once and then updates R in place: a size-reduction step
-by the column operation it applies to U, a swap by one Givens rotation.
-The sweep factors the reduced basis afresh, so that its pad bounds only its
-own rounding, and runs on Python floats and ints; numpy enters only to map
-the found coefficients back through U and to filter them by the gauge.
+roundings of ``embed``.  The LLL factors its start basis once and then
+updates R in place: a size-reduction step by the column operation it
+applies to U, a swap by one Givens rotation.  A body's frame, ``_Frame``,
+is its reduced U together with a fresh factor of U for the sweep, so that
+the sweep's pad bounds only its own rounding; the sweep runs on Python
+floats and ints, and numpy enters only to map the found coefficients back
+through U and to filter them by the gauge.
+The bodies of one direction differ only in their two extents, so each
+frame starts from the reduced basis of the body before it and is reduced
+once per call: the dyadic shells of ``check_truncated`` and ``best_gamma``
+chain their frames shell to shell, ``successive_minima`` keeps one frame
+for all its dilation doublings, and ``adapted_basis`` starts the
+co-reciprocal cylinder from the top shell's U and the tube from the dual of
+the co-reciprocal U.  Hand-offs between public calls ride on the call's
+budget record, ``_Work``, which holds the latest frame; an enumeration
+reuses it for that very body object only, and every other body starts from
+the identity, as does every public call.
 Every point matters only up to sign, and that rule lives in the sweep: it
 visits one of each +-k, returned with its first nonzero entry positive,
 while its candidate budget counts the symmetric sweep of both signs.
 ``lattice_points_in`` alone restores both signs.  Each public call charges
-its candidates to one budget record, ``_Work``, and passes that record on to
-the public calls it makes; the record's ``charge`` is the only place an
+its candidates to one budget record and passes that record on to the
+public calls it makes; the record's ``charge`` is the only place an
 exhausted budget raises ResourceLimitError.
 Far from ratio 1 (axial-to-radial extents around 1e10 and beyond) the LLL
 gives up at its multiplier and entry caps, and the sweep may then exhaust
@@ -116,9 +127,10 @@ class _Work:
     """The candidate budget of one public call, shared with the public calls
     it makes: its limit and the candidates charged so far.  ``budget`` None
     gives the default, and one below 1 is a ValueError.  ``charge`` is the
-    only place an exhausted budget raises."""
+    only place an exhausted budget raises.  ``frame`` is the latest reduced
+    frame of the call (see ``frame_of``), None before the first."""
 
-    __slots__ = ("limit", "candidates")
+    __slots__ = ("limit", "candidates", "frame")
 
     def __init__(self, budget: int | None):
         if budget is None:
@@ -127,6 +139,7 @@ class _Work:
             raise ValueError("budget must be >= 1")
         self.limit = budget
         self.candidates = 0
+        self.frame = None
 
     @classmethod
     def of(cls, budget: int | None | _Work) -> _Work:
@@ -141,6 +154,13 @@ class _Work:
             raise ResourceLimitError(
                 f"enumeration exceeded budget of {self.limit} candidates"
             )
+
+    def frame_of(self, body) -> _Frame:
+        """The record's frame when it is of this very body object, else a
+        new one reduced from the identity, which the record then holds."""
+        if self.frame is None or self.frame.body is not body:
+            self.frame = _Frame(body)
+        return self.frame
 
 
 def _as_int_matrix(rows) -> list[list[int]]:
@@ -444,25 +464,41 @@ def _r_factor(body, U) -> list[list[float]]:
     return R
 
 
-def _lll_reduce(body) -> np.ndarray:
+def _lll_reduce(body, start: np.ndarray | None = None) -> np.ndarray:
     """Unimodular column matrix making the body's metric well conditioned.
 
     LLL (delta = 0.99) on the embedded basis W = QR, read off R: the
     Gram-Schmidt coefficients are R[j, k] / R[j, j] and the squared lengths
-    R[i, i]^2.  R is factored once by ``_r_factor``.  A size-reduction step
-    applies the same column operation to U and R, which is exact; a swap
-    exchanges two columns and restores the triangle with one Givens
-    rotation of rows k - 1 and k, then negates row k so that the diagonal
-    stays >= 0.  The loop runs on Python floats and ints: R as the factor's
-    rows, updated in place, and U as a list of integer columns.  Squares
-    are taken as x * x, which gives inf where ``x ** 2`` on a Python float
-    would raise.  Reduction quality only affects enumeration speed, never
-    correctness, so the pass gives up (returning the current exact basis)
-    on iteration or entry-size caps, and on a non-finite coefficient.
+    R[i, i]^2.  The pass starts from the unimodular columns ``start``, the
+    identity for None, and R is factored once, by ``_r_factor``, from them.
+    A size-reduction step applies the same column operation to U and R,
+    which is exact; a swap exchanges two columns and restores the triangle
+    with one Givens rotation of rows k - 1 and k, then negates row k so that
+    the diagonal stays >= 0.  The loop runs on Python floats and ints: R as
+    the factor's rows, updated in place, and U as a list of integer columns.
+    Squares are taken as x * x, which gives inf where ``x ** 2`` on a Python
+    float would raise.  The pass gives up on iteration or entry-size caps,
+    on a non-finite coefficient and on a swap with nothing to rotate.  From
+    the identity it then returns the current exact basis; from a given
+    start it runs again from the identity, so a start either completes the
+    reduction or changes nothing.  Giving up costs more than speed: the sweep's pad bounds its rounding
+    only in a well-reduced basis.  From the identity, the top shell of
+    ``check_truncated`` at n = 4, N = 60, tau = 3, gamma = 0.002 hits the
+    multiplier cap on some directions and leaves entries near 1.4e8, and the
+    sweep then misses a point of gauge 0.933 (pinned in the tests); started
+    from the shell below, the same body is reduced in a few swaps.  An
+    exact LLL is the planned fix (ROADMAP item 2).
     """
     n = body.dim
-    R = _r_factor(body, np.eye(n, dtype=np.int64))
-    U = [[int(i == j) for i in range(n)] for j in range(n)]
+    warm = start is not None
+    if not warm:
+        start = np.eye(n, dtype=np.int64)
+    R = _r_factor(body, start)
+    U = start.T.tolist()
+
+    def give_up() -> np.ndarray:
+        return _lll_reduce(body) if warm else np.array(U, dtype=np.int64).T
+
     delta = 0.99
     k = 1
     steps = 0
@@ -472,10 +508,10 @@ def _lll_reduce(body) -> np.ndarray:
             try:
                 r = round(R[j][k] / R[j][j])
             except (OverflowError, ValueError, ZeroDivisionError):
-                return np.array(U, dtype=np.int64).T
+                return give_up()
             if r != 0:
                 if abs(r) > 2**20 or max(map(abs, U[j])) > 2**40:
-                    return np.array(U, dtype=np.int64).T
+                    return give_up()
                 U[k] = [x - r * y for x, y in zip(U[k], U[j])]
                 for row in R[: j + 1]:
                     row[k] -= r * row[j]
@@ -491,6 +527,8 @@ def _lll_reduce(body) -> np.ndarray:
         # Rotate rows k - 1 and k to zero the new R[k, k - 1]; the second
         # row comes out negated, which keeps R[k, k] = sin * R[k - 1, k] >= 0.
         h = math.hypot(upper[k - 1], lower[k - 1])
+        if not h > 0.0:  # the swapped-in column embeds as 0: underflow
+            return give_up()
         cos, sin = upper[k - 1] / h, lower[k - 1] / h
         upper[k - 1], lower[k - 1] = h, 0.0
         for i in range(k, n):
@@ -498,6 +536,8 @@ def _lll_reduce(body) -> np.ndarray:
             upper[i] = cos * x + sin * y
             lower[i] = sin * x - cos * y
         k = max(k - 1, 1)
+    if k < n:
+        return give_up()
     return np.array(U, dtype=np.int64).T
 
 
@@ -507,13 +547,28 @@ _UNBOUNDED_SWEEP = (
 )
 
 
-def _fp_points(body, lam: float, work: _Work) -> np.ndarray:
+class _Frame:
+    """A reduced frame of one body: the body, U from ``_lll_reduce`` started
+    from ``start`` (the identity for None), and R, a fresh ``_r_factor`` of
+    U for the sweep.  The LLL's own updated R carries rounding that grows
+    with its multipliers, and the sweep's pad must bound its own error."""
+
+    __slots__ = ("body", "U", "R")
+
+    def __init__(self, body, start: np.ndarray | None = None):
+        self.body = body
+        self.U = _lll_reduce(body, start)
+        self.R = _r_factor(body, self.U)
+
+
+def _fp_points(body, lam: float, work: _Work, frame: _Frame | None = None):
     """One of each +-k among the nonzero integer points with gauge <= lam
     (+ absolute slack), with its first nonzero entry positive.
 
-    Fincke-Pohst sweep over the bounding ellipsoid in a reduced basis,
+    Fincke-Pohst sweep over the bounding ellipsoid in the reduced basis of
+    ``frame``, a frame of ``body`` (a new one from the identity for None),
     followed by a closed-form gauge filter.  The sweep runs on Python
-    floats and ints: R rows from a fresh ``_r_factor``, per-level partial
+    floats and ints: the frame's R rows, per-level partial
     sums and the coefficient list.  It visits one of each +-m: a lead level,
     one whose higher coefficients are all 0, sweeps only m >= 0, or m >= 1
     at level 0, so the zero vector is never found.  Negation is exact, so
@@ -525,10 +580,9 @@ def _fp_points(body, lam: float, work: _Work) -> np.ndarray:
     no finite candidate count.
     """
     n = body.dim
-    U = _lll_reduce(body)
-    # A fresh factor: the LLL's updated R carries rounding that grows with
-    # its multipliers, and the pad below must bound the sweep's own error.
-    R = _r_factor(body, U)
+    if frame is None:
+        frame = _Frame(body)
+    U, R = frame.U, frame.R
     if not all(R[i][i] > 0.0 for i in range(n)):
         # A zero or NaN pivot leaves its level's interval unbounded.
         raise ResourceLimitError(_UNBOUNDED_SWEEP)
@@ -607,7 +661,8 @@ def lattice_points_in(body, lam: float, *, budget: int | None = None):
     """
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and nonnegative")
-    pts = _fp_points(body, lam, _Work.of(budget))
+    work = _Work.of(budget)
+    pts = _fp_points(body, lam, work, work.frame_of(body))
     pts = np.concatenate([pts, -pts])
     return pts[_ordered(body, pts)[0]]
 
@@ -621,7 +676,8 @@ def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
     complete, so the values are exact, with ties broken by dilation, then
     norm, then lexicographic order.  The candidates are the enumerator's
     sign-canonical points (first nonzero entry positive), primitive ones
-    only: a multiple g k, g >= 2, sorts after k and depends on it.
+    only: a multiple g k, g >= 2, sorts after k and depends on it.  The
+    body is reduced once, and every doubling sweeps that one frame.
     A volume that underflows to 0 or overflows leaves no finite, positive
     start dilation, and is a ValueError.
     """
@@ -636,8 +692,9 @@ def successive_minima(body, *, budget: int | None = None) -> MinimaResult:
             "the body volume is out of the double range, so the minima "
             "scan has no start dilation; the extents are too extreme"
         )
+    frame = work.frame_of(body)
     for _ in range(64):
-        pts = _fp_points(body, lam, work)
+        pts = _fp_points(body, lam, work, frame)
         cand = pts[np.gcd.reduce(pts, axis=1) == 1]
         if cand.shape[0] >= n:
             order, g = _ordered(body, cand)
@@ -689,7 +746,9 @@ def duality_check(body, *, budget: int | None = None) -> np.ndarray:
     """Products lambda_k(polar) * lambda_{n+1-k}(body) for k = 1..n.
 
     Transference bounds put every product in [1, n!].  Both minima scans
-    count against one budget.
+    count against one budget.  Each body is reduced from the identity: the
+    polar's frame is not started from the dual of the body's (ROADMAP item
+    2 has why).
     """
     work = _Work.of(budget)
     mins = successive_minima(body, budget=work)
@@ -727,7 +786,7 @@ def extract_zbasis(body, minima: MinimaResult, *, budget: int | None = None):
 
     bound = n * minima.lambdas[-1]
     bound += MEMBERSHIP_SLACK * (1.0 + bound)
-    pts = _fp_points(body, bound, work)
+    pts = _fp_points(body, bound, work, work.frame_of(body))
     # Non-primitive vectors cannot sit in a unimodular basis.
     cand = pts[
         (np.abs(pts).max(axis=1) <= ENTRY_LIMIT)

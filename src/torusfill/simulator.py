@@ -41,11 +41,13 @@ within its block, counting a cell that re-enters the ball there only once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diophantine import normalize, require_unit
+from .lattice import _Work
 
 __all__ = [
     "CoverageResult",
@@ -121,6 +123,9 @@ class _SweptCover:
     """
 
     def __init__(self, n: int, cells: int, radius: float):
+        # The cover holds cells^n booleans; like the measure scan's box, they
+        # are charged to a default budget before anything is allocated.
+        _Work(None).charge(cells**n)
         self.n = n
         self.cells = cells
         self.rr = radius * radius
@@ -314,7 +319,9 @@ def empirical_fill_time(
 
     Deterministic; independent runs with identical inputs agree exactly.
     Expiring ``max_time`` before coverage is an ordinary outcome (reported
-    with the count of uncovered cells), not an error.
+    with the count of uncovered cells), not an error.  A grid of more than
+    the default budget of 1e8 cells raises ResourceLimitError before it is
+    allocated.
     """
     a = require_unit(alpha)
     n = a.size
@@ -385,6 +392,10 @@ def resonant_reference(q: int):
     """
     if not isinstance(q, int) or q < 1:
         raise ValueError("q must be an integer >= 1")
+    # The period needs q^2 + 1 as a double; past that, float(q) or the
+    # normalisation overflows.  The bit length spares squaring a huge q.
+    if q.bit_length() > 512 or q * q + 1 > sys.float_info.max:
+        raise ValueError("q must satisfy q^2 + 1 <= 1.8e308, the double range")
     alpha = normalize(np.array([float(q), 1.0]))
     period = math.sqrt(q * q + 1.0)
     return alpha, 1.0 / (2.0 * period), period

@@ -123,9 +123,9 @@ def naive_sweep_count(body, lam, R):
 def naive_lll_reduce(body) -> np.ndarray:
     """Unimodular column matrix making the body's metric well conditioned.
 
-    Reduction quality only affects enumeration speed, never correctness, so
-    the pass gives up (returning the current exact basis) on iteration or
-    entry-size caps.
+    The pass starts from the identity and gives up (returning the current
+    exact basis) on iteration or entry-size caps; a basis left that way can
+    make the float sweep miss points (see ``lattice._lll_reduce``).
     """
     n = body.dim
     cols = [np.zeros(n, dtype=np.int64) for _ in range(n)]

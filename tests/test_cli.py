@@ -517,6 +517,41 @@ def test_demo_resonant_parameter_listing(capsys):
     assert "q=1" in out and "q=2" in out
 
 
+@pytest.mark.parametrize("q", [2**1024, 2**512])
+def test_demo_resonant_q_beyond_the_double_range_is_usage_error(capsys, q):
+    # float(2**1024) overflows; q^2 + 1 for q = 2**512 is past every double.
+    code, out, err = run(capsys, "demo-resonant", "--q", str(q))
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage error: q must satisfy q^2 + 1 <= 1.8e308, the double range\n"
+    )
+
+
+def test_fill_grid_beyond_the_budget_exits_before_allocating(capsys, monkeypatch):
+    """delta = 1e-300 asks for (2.8e300)^2 cells and delta = 1e-4 for 8e8;
+    both exceed the default budget, which is charged before numpy allocates
+    anything."""
+    import numpy as np
+
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= 10**6, "cover allocated"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    for delta in ("1e-300", "1e-4"):
+        code, out, err = run(
+            capsys, "fill", "--alpha", "1,1.618", "--normalize",
+            "--delta", delta, "--max-time", "1",
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "resource limit: enumeration exceeded budget of 100000000 "
+            "candidates\n"
+        )
+
+
 def test_demo_resonant_simulated_measurement(capsys):
     code, out, _ = run(
         capsys, "demo-resonant", "--q", "1", "--simulate", "--format", "json"

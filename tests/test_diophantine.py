@@ -442,9 +442,9 @@ def test_scan_budget_is_the_sum_over_its_cylinders(monkeypatch, scan):
     calls = []
     enumerate_points = dio._fp_points
 
-    def recording(body, lam, work):
+    def recording(body, lam, work, frame=None):
         before = work.candidates
-        pts = enumerate_points(body, lam, work)
+        pts = enumerate_points(body, lam, work, frame)
         calls.append((body, work.candidates - before))
         return pts
 
@@ -541,3 +541,77 @@ def test_measure_estimate_rejects_bad_arguments():
         complement_measure_estimate(DioParams(2, 1.0, 0.1, None), 100, 0)
     with pytest.raises(ValueError):
         complement_measure_estimate(DioParams(2, 1.0, 0.1, 5.0), 0, 0)
+
+
+# (n, tau, gamma, N) of the screen workload: the membership of the n=3
+# adapted basis and the n=4 check.
+CHAIN_PARAMS = [(3, 2.0, 0.02, 275.0), (4, 3.0, 0.002, 60.0)]
+
+
+def _recorded_shells(monkeypatch, scan):
+    """(body, frame, points) of every cylinder ``scan`` enumerates, and the
+    start each reduction was given."""
+    from torusfill import lattice
+
+    shells, starts = [], []
+    enumerate_points, reduce = dio._fp_points, lattice._lll_reduce
+
+    def recording(body, lam, work, frame=None):
+        pts = enumerate_points(body, lam, work, frame)
+        shells.append((body, frame, pts))
+        return pts
+
+    def recording_reduce(body, start=None):
+        starts.append(start)
+        return reduce(body, start)
+
+    monkeypatch.setattr(dio, "_fp_points", recording)
+    monkeypatch.setattr(lattice, "_lll_reduce", recording_reduce)
+    scan()
+    return shells, starts
+
+
+@pytest.mark.parametrize("n,tau,gamma,cutoff", CHAIN_PARAMS)
+def test_shell_frames_chain_and_keep_the_cold_points(monkeypatch, n, tau, gamma, cutoff):
+    """Each shell is reduced once, starting from the U of the shell before
+    (the first from the identity), and its point set contains the set of a
+    reduction from the identity."""
+    from torusfill import lattice
+
+    params = DioParams(dim=n, tau=tau, gamma=gamma, cutoff=cutoff)
+    rng = np.random.default_rng(22)
+    for _ in range(12):
+        alpha = normalize(rng.standard_normal(n))
+        for scan in (
+            lambda: check_truncated(alpha, params),
+            lambda: best_gamma(alpha, tau, cutoff),
+        ):
+            shells, starts = _recorded_shells(monkeypatch, scan)
+            monkeypatch.undo()
+            assert len(starts) == len(shells) and starts[0] is None
+            for (_, before, _), start in zip(shells, starts[1:]):
+                assert start is before.U
+            for body, frame, warm in shells:
+                assert frame.body is body
+                cold = lattice._fp_points(body, 1.0, lattice._Work(None))
+                assert {tuple(k) for k in cold.tolist()} <= {
+                    tuple(k) for k in warm.tolist()
+                }
+
+
+def test_chained_top_shell_holds_the_point_the_identity_start_misses(monkeypatch):
+    """On this n=4 direction the identity start of the top shell
+    (N=60, tau=3, gamma=0.002) stops at the LLL's multiplier cap, and its
+    sweep misses k = (9, -47, -22, 19), gauge 0.933 (0.9331845 in 60-digit
+    Decimal).  Started from the shell below, the shell holds it."""
+    alpha = np.array([
+        -0.46503871913724476, -0.09549042544827963,
+        0.5831081157939243, 0.6592461555793532,
+    ])
+    params = DioParams(dim=4, tau=3.0, gamma=0.002, cutoff=60.0)
+    shells, _ = _recorded_shells(monkeypatch, lambda: check_truncated(alpha, params))
+    body, _, points = shells[-1]
+    assert (body.axial_half, body.radial_half) == (0.002 * 30.0**-3, 60.0)
+    k = (9, -47, -22, 19)
+    assert 0.933 < body.gauge(np.array(k, dtype=float)) < 0.934
+    assert k in {tuple(p) for p in points.tolist()}

@@ -135,6 +135,46 @@ def test_adapted_basis_budget_reaches_membership():
         adapted_basis(alpha, params, budget=10**6)
 
 
+def test_adapted_basis_reduces_each_body_once_from_the_one_before(monkeypatch):
+    """Seeded n=3 directions at N=275, tau=2, gamma=0.02.  After the
+    membership shells, exactly two reductions: the reciprocal cylinder from
+    the top shell's U, and the tube from the dual of the reciprocal U, an
+    exact integer start of determinant +-1 (U^T times it is the exchange
+    matrix); the minima scan and the extraction reuse the tube's frame."""
+    from torusfill import lattice
+    from torusfill.diophantine import _shells
+    from torusfill.lattice import det_exact
+
+    reductions = []
+    reduce = lattice._lll_reduce
+
+    def recording(body, start=None):
+        U = reduce(body, start)
+        reductions.append((body, start, U))
+        return U
+
+    monkeypatch.setattr(lattice, "_lll_reduce", recording)
+    params = DioParams(dim=3, tau=2.0, gamma=0.02, cutoff=275.0)
+    shells = len(_shells(params.cutoff))
+    rng = np.random.default_rng(22)
+    built = 0
+    while built < 6:
+        alpha = normalize(rng.standard_normal(3))
+        reductions.clear()
+        try:
+            adapted_basis(alpha, params)
+        except DiophantineRejection:
+            continue
+        built += 1
+        assert len(reductions) == shells + 2
+        (_, _, top), (reciprocal, from_top, U), (tube, start, _) = reductions[-3:]
+        assert from_top is top
+        assert reciprocal.axial_half == 1.0 / tube.axial_half
+        assert abs(det_exact(start.tolist())) == 1
+        exchange = [[int(i + j == 2) for j in range(3)] for i in range(3)]
+        assert (U.T @ start).tolist() == exchange
+
+
 def test_adapted_basis_golden_invariants(golden_basis):
     """Multiplier bounds, direction deviation, unimodularity."""
     ab = golden_basis

@@ -300,6 +300,36 @@ def test_lll_reduce_factors_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_successive_minima_reduces_once(monkeypatch):
+    """One reduction per call, from the identity, however often the scan
+    dilation doubles: every doubling sweeps the same frame."""
+    reductions, sweeps = [], []
+    reduce, enumerate_points = lattice._lll_reduce, lattice._fp_points
+
+    def counted_reduce(body, start=None):
+        reductions.append(start)
+        return reduce(body, start)
+
+    def counted_sweep(body, lam, work, frame=None):
+        sweeps.append(frame)
+        return enumerate_points(body, lam, work, frame)
+
+    monkeypatch.setattr(lattice, "_lll_reduce", counted_reduce)
+    monkeypatch.setattr(lattice, "_fp_points", counted_sweep)
+    rng = np.random.default_rng(22)
+    doubled = 0
+    for _ in range(6):
+        axis = rng.standard_normal(3)
+        tube = CylinderBody(axis / np.linalg.norm(axis), 275.0**2 / 0.02, 1 / 274)
+        reductions.clear()
+        sweeps.clear()
+        successive_minima(tube)
+        assert reductions == [None]
+        assert all(frame is sweeps[0] for frame in sweeps)
+        doubled += len(sweeps) > 1
+    assert doubled >= 4
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(2, 4),
@@ -463,6 +493,45 @@ def test_lll_non_finite_coefficient_gives_up():
     assert abs(det_exact(U.T.tolist())) == 1
     with pytest.raises(ResourceLimitError):
         lattice_points_in(body, 1.0)
+
+
+def test_lll_swap_with_nothing_to_rotate_gives_up():
+    """The tube of adapted_basis at n=2, N=1e12, tau=1, gamma=1e-9 embeds
+    this start's second column as 0 in floats, and a later swap finds
+    nothing to rotate (hypot 0).  That is a give-up, not a
+    ZeroDivisionError, and a give-up from a start runs the pass again from
+    the identity."""
+    axis = np.array([0.14072553096904256, -0.9900486477610486])
+    tube = CylinderBody(axis, 1e21, 1.000000000001e-12)
+    start = np.array(
+        [[3071045412081, 119846061865], [-21605776411051, -843154974594]]
+    )
+    assert lattice._r_factor(tube, start)[1][1] == 0.0
+    U = lattice._lll_reduce(tube, start)
+    assert np.array_equal(U, lattice._lll_reduce(tube))
+    assert abs(det_exact(U.tolist())) == 1
+
+
+def test_lll_from_a_start_completes_or_matches_the_identity():
+    """A start either finishes the reduction (every size and Lovasz
+    condition holds on a fresh factor) or the pass is the identity's.  The
+    starts are the shell-to-shell chain of screen's n=4 check (N=60)."""
+    rng = np.random.default_rng(22)
+    for _ in range(8):
+        axis = rng.standard_normal(4)
+        axis /= np.linalg.norm(axis)
+        start = None
+        for _, r in _shells(60.0):
+            body = CylinderBody(axis, 0.002 * max(r / 2.0, 1.0) ** -3.0, r)
+            U = lattice._lll_reduce(body, start)
+            if start is not None and not np.array_equal(U, lattice._lll_reduce(body)):
+                R = np.array(lattice._r_factor(body, U))
+                mu = R / np.diag(R)[:, None]
+                assert np.all(np.abs(np.triu(mu, 1)) <= 0.5 + 1e-6)
+                d = np.diag(R) ** 2
+                lovasz = d[1:] >= (0.99 - np.diag(mu, 1) ** 2) * d[:-1] * (1 - 1e-6)
+                assert np.all(lovasz)
+            start = U
 
 
 def test_minima_budget_exhaustion():

@@ -194,6 +194,9 @@ def test_resonant_reference_fields():
         assert delta == pytest.approx(0.5 / period)
     with pytest.raises(ValueError):
         resonant_reference(0)
+    for q in (2**512, 2**1024):
+        with pytest.raises(ValueError, match="double range"):
+            resonant_reference(q)
 
 
 def test_resonant_demo_parameters_contract():
@@ -268,6 +271,30 @@ def test_fill_time_matches_dense_oracle_fixed(
     alpha, theta0, radius, dt, max_time, cells
 ):
     _oracle_case(alpha, theta0, radius, dt, max_time, cells)
+
+
+def test_swept_cover_charges_its_cells_before_allocating(monkeypatch):
+    """The cells^n booleans count against the default budget of 1e8: the
+    n=2, delta=1e-4 grid (28,285^2 = 8.0e8 cells) and the n=3,
+    delta=1e-3 grid (3,465^3 = 4.2e10) are refused before numpy allocates,
+    and 10^4^2 = 1e8 cells are exactly the limit."""
+    from torusfill.lattice import DEFAULT_BUDGET, ResourceLimitError
+    from torusfill.simulator import _SweptCover, _grid_setup
+
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= 10**6, "cover allocated"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    for n, delta in ((2, 1e-4), (3, 1e-3)):
+        cells, _, radius = _grid_setup(n, delta, 0.0, None)
+        assert cells**n > DEFAULT_BUDGET
+        with pytest.raises(ResourceLimitError):
+            _SweptCover(n, cells, radius)
+    with pytest.raises(AssertionError, match="cover allocated"):
+        _SweptCover(2, 10**4, 1e-3)
 
 
 def test_fill_time_exact_when_cells_reenter_within_a_block():
