@@ -15,10 +15,10 @@ exactly, one of each +-k with its first nonzero entry positive.
 times max(r/2, 1)^(-tau), and reduce each shell's cylinder starting from
 the reduced basis of the shell before; ``resonance_search`` uses one
 cylinder.  The Monte Carlo estimate of the measure of the complement
-scans the sign-canonical primitive k of the ball ||k|| <= N, which decide
-every direction's worst margin, in cache-sized blocks of directions.  Each call
-charges every candidate it examines to one budget record, ``lattice._Work``:
-its own, or the one ``adapted_basis`` passes on.
+compares each |k.alpha| of the sign-canonical primitive k of the ball
+||k|| <= N with a per-k threshold, in cache-sized blocks of directions.  Each
+call charges every candidate it examines to one budget record,
+``lattice._Work``: its own, or the one ``adapted_basis`` passes on.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def resonance_search(alpha, max_order: float, tol: float = 0.0, *, budget=None):
 
 
 class _MarginScan:
-    """Worst margins of direction blocks against one ball of integer vectors.
+    """Which directions of a block fail the truncated condition at gamma.
 
     The margin of a unit alpha is min over 0 < ||k|| <= N of
     (|k.alpha| + slack ||k||) ||k||^tau, slack = CMP_SLACK_PER_NORM, so
@@ -304,13 +304,17 @@ class _MarginScan:
     error cannot close that gap: a dot product errs by at most n 2^-53 ||k||,
     over 1000 times less than the slack term 1e-12 ||k||.
 
-    The (2 floor(N) + 1)^n box is charged to ``work`` before it is
-    allocated.  Blocks of ``rows`` directions make about 2^16
-    products, 512 KB, which stay in a per-core L2 cache through the matmul,
-    abs, scale, shift and min, all in one preallocated buffer.
+    No margin is formed: the float term fl(fl(|k.alpha| w_k) + s_k), with
+    w_k = ||k||^tau, s_k = slack ||k|| w_k, is < gamma exactly when
+    |k.alpha| < t_k (``_thresholds``).  A block of ``rows`` directions is a
+    matmul, abs and compare into buffers of about 2^16 entries, which stay
+    in a per-core L2 cache.  OpenBLAS rounds the dgemm's edge tiles apart
+    from its FMA kernel, so the order of ``kt`` and the block shape are
+    fixed: other blocks could move a margin by up to 2 n 2^-53 N^(1+tau).
+    The (2 floor(N) + 1)^n box is charged to ``work`` before it is built.
     """
 
-    def __init__(self, n: int, tau: float, cutoff: float, work: _Work):
+    def __init__(self, n: int, tau: float, gamma: float, cutoff: float, work: _Work):
         side = 2 * int(math.floor(cutoff)) + 1
         # side >= 3, so side^n > 2^n exceeds the limit once n reaches its bit
         # length; past that the charge skips the power, huge for a large n.
@@ -318,55 +322,50 @@ class _MarginScan:
         k = np.indices((side,) * n).reshape(n, -1).T - side // 2
         norm_sq = np.sum(k * k, axis=1)
         first = k[np.arange(k.shape[0]), np.argmax(k != 0, axis=1)]
-        keep = (
-            (first > 0)
-            & (norm_sq <= cutoff * cutoff)
-            & (np.gcd.reduce(k, axis=1) == 1)
-        )
+        keep = (first > 0) & (norm_sq <= cutoff * cutoff)
+        keep &= np.gcd.reduce(k, axis=1) == 1
         self.kt = k[keep].T.astype(float)
         norm = np.sqrt(norm_sq[keep].astype(float))
-        self.weight = norm**tau
-        self.slack = CMP_SLACK_PER_NORM * norm * self.weight
+        with np.errstate(over="ignore"):  # an inf w_k makes s_k inf, t_k 0
+            self.weight = norm**tau
+            self.slack = CMP_SLACK_PER_NORM * norm * self.weight
+        self.t = _thresholds(self.weight, self.slack, gamma)
         self.rows = max(1, _SCAN_PRODUCTS // self.kt.shape[1])
-        self._buf = np.empty((self.rows, self.kt.shape[1]))
+        # A full block of thresholds compares faster than a broadcast row.
+        self._t_block = np.tile(self.t, (self.rows, 1))
+        self._buf = np.empty(self._t_block.shape)
+        self._below = np.empty(self._t_block.shape, dtype=bool)
 
-    def __call__(self, dirs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the margins of at most ``rows`` directions into ``out``."""
-        p = self._buf[: dirs.shape[0]]
-        np.matmul(dirs, self.kt, out=p)
+    def fails(self, dirs: np.ndarray) -> np.ndarray:
+        """Failure flags of at most ``rows`` directions."""
+        m = dirs.shape[0]
+        p = np.matmul(dirs, self.kt, out=self._buf[:m])
         np.abs(p, out=p)
-        p *= self.weight
-        p += self.slack
-        return p.min(axis=1, out=out)
+        return np.less(p, self._t_block[:m], out=self._below[:m]).any(axis=1)
 
 
-def _worst_margin(samples: np.ndarray, tau: float, cutoff: float):
-    """Per-sample margins (see ``_MarginScan``), scanned block by block.
+def _thresholds(weight: np.ndarray, slack: np.ndarray, gamma: float):
+    """Per k, the least double x >= 0 with f(x) = fl(fl(x w_k) + s_k) >= gamma.
 
-    Each float k.alpha errs by at most n 2^-53 ||k||, but its bits depend on
-    the dgemm's blocking: OpenBLAS rounds its edge tiles differently from
-    its FMA main kernel.  So a margin may differ from a scan of the whole
-    ball with other blocks by up to 2 n 2^-53 N^(1+tau).  A few margins in
-    10^5 do, by under 2e-12 relative (cancellation in k.alpha); a fraction
-    changes only if gamma falls within that distance of a margin.
+    0 when s_k >= gamma.  The multiply and add are numpy's, rounded apart,
+    never fused.  Non-negative doubles are ordered as their bit patterns, so
+    a bisection on those keeps f(lo) < gamma <= f(hi); it starts a few ulps
+    around (gamma - s_k) / w_k, or from 0 or inf where s_k cancels gamma.
     """
-    scan = _MarginScan(samples.shape[1], tau, cutoff, _Work(None))
-    margins = np.empty(samples.shape[0])
-    for s in range(0, samples.shape[0], scan.rows):
-        scan(samples[s : s + scan.rows], margins[s : s + scan.rows])
-    return margins
-
-
-def _directions(rng, count: int, n: int) -> np.ndarray:
-    """``count`` uniform unit directions: normalised Gaussian draws."""
-    raw = rng.standard_normal((count, n))
-    norms = np.linalg.norm(raw, axis=1)
-    # Regenerate the (measure-zero) degenerate draws deterministically.
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        raw[bad] = rng.standard_normal((int(bad.sum()), n))
-        norms = np.linalg.norm(raw, axis=1)
-    return raw / norms[:, None]
+    t = np.zeros_like(weight)
+    live = slack < gamma
+    w, s = weight[live], slack[live]
+    with np.errstate(over="ignore"):
+        guess = (gamma - s) / w
+        below, above = guess * (1.0 - 2.0**-50), guess * (1.0 + 2.0**-50)
+        lo = np.where(below * w + s < gamma, below, 0.0).view(np.int64)
+        hi = np.where(above * w + s >= gamma, above, np.inf).view(np.int64)
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            up = mid.view(float) * w + s >= gamma
+            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    t[live] = hi.view(float)
+    return t
 
 
 def complement_measure_estimate(
@@ -377,28 +376,29 @@ def complement_measure_estimate(
     Draws ``samples`` uniform directions (normalized Gaussians), returns the
     fraction failing the truncated condition together with the binomial
     standard error sqrt(f(1-f)/samples).  Deterministic for a fixed seed.
-    A direction fails when its margin (see ``_MarginScan``) is < gamma.
-    The (2 floor(N) + 1)^n candidates are charged against ``budget`` (1e8 if
-    None).
-
-    Directions are drawn, normalised and scanned one block at a time, so
-    memory stays bounded whatever ``samples``.  Chunked Gaussian draws equal
-    the one-shot draw, so the fraction does not depend on the block size,
-    except for the regeneration of a degenerate draw (norm < 1e-12, about
-    1e-24 likely), which happens within its block.  The only decision in
-    floats is margin < gamma; a margin errs by at most n 2^-53 N^(1+tau)
-    (see ``_worst_margin``).
+    A direction fails when its margin (see ``_MarginScan``) is < gamma,
+    decided by per-k thresholds.  The (2 floor(N) + 1)^n candidates are
+    charged against ``budget`` (1e8 if None).  Directions are drawn eight
+    scan blocks at a time, so memory stays bounded.  The fraction does not
+    depend on that chunk size (chunked Gaussian draws equal the one-shot
+    draw), except through a degenerate draw (norm < 1e-12, about 1e-24
+    likely), which is drawn again within its chunk.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    scan = _MarginScan(params.dim, params.tau, params.cutoff, _Work.of(budget))
+    n, work = params.dim, _Work.of(budget)
+    scan = _MarginScan(n, params.tau, params.gamma, params.cutoff, work)
     rng = np.random.default_rng(seed)
-    margins = np.empty(scan.rows)
     failures = 0
-    for s in range(0, samples, scan.rows):
-        dirs = _directions(rng, min(scan.rows, samples - s), params.dim)
-        block = scan(dirs, margins[: dirs.shape[0]])
-        failures += int(np.count_nonzero(block < params.gamma))
+    for s in range(0, samples, 8 * scan.rows):
+        raw = rng.standard_normal((min(8 * scan.rows, samples - s), n))
+        norms = np.linalg.norm(raw, axis=1)
+        while np.any(bad := norms < 1e-12):  # draw degenerate ones again
+            raw[bad] = rng.standard_normal((int(bad.sum()), n))
+            norms = np.linalg.norm(raw, axis=1)
+        dirs = raw / norms[:, None]
+        for b in range(0, dirs.shape[0], scan.rows):
+            failures += int(np.count_nonzero(scan.fails(dirs[b : b + scan.rows])))
     fraction = failures / samples
     stderr = math.sqrt(fraction * (1.0 - fraction) / samples)
     return fraction, stderr

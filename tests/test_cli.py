@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from torusfill.cli import run_command
 
 GOLDEN = "1,1.6180339887498949"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -275,6 +280,24 @@ def test_diophantine_scans_honour_budget(capsys, argv):
     assert "budget" in err
     code, _, _ = run(capsys, *argv)
     assert code == 0
+
+
+def test_measure_at_huge_tau_is_silent():
+    """At tau = 300 most ||k||^tau overflow; those k cannot fail a direction,
+    and the run writes nothing to stderr (no numpy overflow warnings)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusfill.cli", "--format", "json", "measure",
+         "--n", "2", "--tau", "300", "--gamma", "0.02", "--N", "20",
+         "--samples", "2000", "--seed", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["result"]["fraction"] == 0.028
 
 
 @pytest.mark.parametrize(

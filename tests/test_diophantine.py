@@ -458,14 +458,27 @@ def test_scan_budget_is_the_sum_over_its_cylinders(monkeypatch, scan):
     assert _least_budget(scan) == sum(used for _, used in cylinders)
 
 
+def _scan_flags(dirs, tau, gamma, cutoff):
+    """The measure scan's failure flag of every direction, block by block."""
+    scan = dio._MarginScan(dirs.shape[1], tau, gamma, cutoff, dio._Work(None))
+    blocks = range(0, dirs.shape[0], scan.rows)
+    return np.concatenate([scan.fails(dirs[s : s + scan.rows]) for s in blocks])
+
+
 @pytest.mark.parametrize("n,tau,cutoff,samples", [(2, 2.0, 20.0, 20000),
                                                  (3, 2.0, 8.0, 5000),
                                                  (4, 3.0, 4.0, 2000)])
-def test_worst_margin_matches_box_scan_oracle(n, tau, cutoff, samples):
+def test_measure_flags_match_box_scan_oracle_at_ties(n, tau, cutoff, samples):
+    """A direction fails exactly when its box-scan margin is < gamma, also
+    when gamma is a sampled margin (which does not fail) or the next double
+    above it (which does)."""
     raw = np.random.default_rng(n).standard_normal((samples, n))
     dirs = raw / np.linalg.norm(raw, axis=1)[:, None]
-    got = dio._worst_margin(dirs, tau, cutoff)
-    assert np.array_equal(got, naive_worst_margin(dirs, tau, cutoff))
+    ref = naive_worst_margin(dirs, tau, cutoff)
+    ties = np.sort(ref)[np.linspace(0, samples - 1, 12).astype(int)]
+    for tie in ties.tolist():
+        for gamma in (tie, math.nextafter(tie, math.inf)):
+            assert np.array_equal(_scan_flags(dirs, tau, gamma, cutoff), ref < gamma)
 
 
 # Largest measure cutoff drawn per dimension, to keep the box-scan oracle cheap.
@@ -475,7 +488,7 @@ MEASURE_CUTOFF = {2: 20.0, 3: 8.0, 4: 4.0}
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_measure_estimate_matches_box_scan_oracle(data):
-    """The fraction is the box scan's; every margin is within the dgemm bound."""
+    """Per-sample flags and the fraction are the box scan's margin < gamma."""
     n = data.draw(st.integers(2, 4), label="n")
     tau = data.draw(st.sampled_from([n - 1.0, float(n), n + 0.5]), label="tau")
     cutoff = data.draw(st.floats(1.0, MEASURE_CUTOFF[n]), label="cutoff")
@@ -485,12 +498,44 @@ def test_measure_estimate_matches_box_scan_oracle(data):
     raw = np.random.default_rng(seed).standard_normal((samples, n))
     dirs = raw / np.linalg.norm(raw, axis=1)[:, None]
     ref = naive_worst_margin(dirs, tau, cutoff)
-    got = dio._worst_margin(dirs, tau, cutoff)
-    assert np.all(np.abs(got - ref) <= 4 * n * 2.0**-53 * cutoff ** (1 + tau))
+    assert np.array_equal(_scan_flags(dirs, tau, gamma, cutoff), ref < gamma)
     fraction, _ = complement_measure_estimate(
         DioParams(n, tau, gamma, cutoff), samples, seed
     )
     assert fraction == float(np.mean(ref < gamma))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_threshold_rule_matches_scale_and_shift(data):
+    """For every k, x < t_k exactly when fl(fl(x w_k) + s_k) < gamma, at x =
+    0, t_k, the doubles either side of t_k and random x.  gamma is drawn
+    freely or a few ulps above some s_k, where gamma - s_k cancels."""
+    n = data.draw(st.integers(2, 4), label="n")
+    tau = data.draw(st.sampled_from([0.0, n - 1.0, n + 0.5, 300.0]), label="tau")
+    cutoff = data.draw(st.floats(1.0, MEASURE_CUTOFF[n]), label="cutoff")
+    gamma = data.draw(st.floats(1e-12, 1.0, exclude_max=True), label="gamma")
+    if data.draw(st.booleans(), label="near_slack"):
+        slack = dio._MarginScan(n, tau, gamma, cutoff, dio._Work(None)).slack
+        gamma = data.draw(st.sampled_from(slack[np.isfinite(slack)].tolist()))
+        for _ in range(data.draw(st.integers(1, 3), label="ulps")):
+            gamma = math.nextafter(gamma, math.inf)
+    scan = dio._MarginScan(n, tau, gamma, cutoff, dio._Work(None))
+    w, s, t = scan.weight, scan.slack, scan.t
+    norm = np.sqrt(np.sum(scan.kt * scan.kt, axis=0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    xs = [
+        np.zeros_like(t),
+        t,
+        np.maximum(np.nextafter(t, -np.inf), 0.0),
+        np.nextafter(t, np.inf),
+        rng.uniform(0.0, 2.0 * t),
+        rng.uniform(0.0, norm),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf at w_k = inf
+        for x in xs:
+            assert np.array_equal(x * w + s < gamma, x < t)
+    assert np.all(t[~(s < gamma)] == 0.0)
 
 
 @pytest.mark.parametrize("n,cutoff,count", [(2, 20.0, 384), (3, 8.0, 877)])
@@ -504,7 +549,7 @@ def test_measure_scans_sign_canonical_primitive_k(n, cutoff, count):
         and math.gcd(*k) == 1
         and next(x for x in k if x != 0) > 0
     }
-    kt = dio._MarginScan(n, 2.0, cutoff, dio._Work(None)).kt
+    kt = dio._MarginScan(n, 2.0, 0.1, cutoff, dio._Work(None)).kt
     columns = [tuple(int(x) for x in col) for col in kt.T]
     assert len(columns) == len(set(columns)) == count
     assert set(columns) == expected

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_product, naive_hitting_time
+from conftest import exact_product, naive_check_truncated, naive_hitting_time
 from torusfill import (
     DioParams,
     DiophantineRejection,
@@ -17,6 +17,7 @@ from torusfill import (
     bound_constant,
     check_truncated,
     critical_cutoff,
+    det_exact,
     filling_time_bound,
     hitting_time,
     normalize,
@@ -216,6 +217,53 @@ def test_adapted_basis_three_dimensions():
         dev = float(np.linalg.norm(alpha - ab.directions[j]))
         assert dev <= n * math.factorial(n) / (x * 274.0) + 1e-12
     assert abs(ab.integer_basis.determinant) == 1
+
+
+# Desk-scale cutoffs drawn per dimension: above 1 + n^2 n!, and up to the
+# critical cutoffs 90 (n=2, delta=0.1) and 275 (n=3, delta=0.2).
+DESK_CUTOFF = {2: (9.5, 90.0), 3: (55.5, 275.0)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_adapted_basis_is_valid_or_rejects_with_the_box_witness(data):
+    """Either a rejection whose witness is the box scan's, or a basis with
+    det +-1, an exact integer inverse, sqrt(3)/2 < x_j <= n n! N^tau / gamma
+    and ||alpha - omega_j|| <= n n! / (x_j (N - 1))."""
+    n = data.draw(st.integers(2, 3), label="n")
+    tau = data.draw(st.sampled_from([n - 1.0, float(n), n + 0.5]), label="tau")
+    gamma = data.draw(st.floats(0.005, 0.3), label="gamma")
+    cutoff = data.draw(st.floats(*DESK_CUTOFF[n]), label="cutoff")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    alpha = normalize(np.random.default_rng(seed).standard_normal(n))
+    params = DioParams(n, tau, gamma, cutoff)
+    try:
+        ab = adapted_basis(alpha, params)
+    except DiophantineRejection as rejection:
+        assert rejection.witness == naive_check_truncated(alpha, params)
+        return
+    matrix = ab.integer_basis.matrix().tolist()
+    assert abs(ab.integer_basis.determinant) == 1
+    assert det_exact(matrix) == ab.integer_basis.determinant
+    identity = [[int(r == c) for c in range(n)] for r in range(n)]
+    assert exact_product(matrix, ab.inverse) == identity
+    scale = n * math.factorial(n)
+    for j in range(n):
+        x = float(ab.multipliers[j])
+        assert math.sqrt(3.0) / 2.0 < x <= scale * cutoff**tau / gamma * (1 + 1e-9)
+        dev = float(np.linalg.norm(alpha - ab.directions[j]))
+        assert dev <= scale / (x * (cutoff - 1.0)) * (1 + 1e-9)
+
+
+@pytest.mark.xfail(raises=InternalInvariantError, strict=True, reason=(
+    "a float point of the tube is lost at this extent; the fix is the exact "
+    "lattice reduction of ROADMAP item 2"
+))
+def test_adapted_basis_far_above_desk_scale():
+    """At N = 1e7 this n=3 direction ends in "n-th minimum reached n!
+    despite the exclusion certificate" instead of a basis or a rejection."""
+    alpha = (0.3635365676813111, 0.8642994867575062, 0.3476025908263671)
+    adapted_basis(alpha, DioParams(3, 2.0, 0.02, 1e7))
 
 
 def test_construction_excludes_reciprocal_cylinder(golden_basis):
